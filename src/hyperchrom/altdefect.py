@@ -177,12 +177,13 @@ def alt_min(
     """alt_p(H): minimum of alt_sigma over orderings.
 
     Exact mode enumerates orderings whose prefixes are lexicographically
-    minimal within their automorphism-group orbit.  Budgeted mode
-    samples orderings and reports an upper bound on alt_p(H).
+    minimal within their automorphism-group orbit.  Sampled mode tries
+    the identity and ``samples`` seeded random orderings, and reports an
+    upper bound on alt_p(H).
     """
     n = H.n
-    if mode not in ("exact", "budgeted"):
-        raise ValueError("mode must be 'exact' or 'budgeted'")
+    if mode not in ("exact", "sampled"):
+        raise ValueError("mode must be 'exact' or 'sampled'")
     budget = budget or SearchBudget()
 
     best: Optional[int] = None
@@ -195,7 +196,7 @@ def alt_min(
         if best is None or val < best:
             best, best_sigma = val, sigma
 
-    if mode == "budgeted":
+    if mode == "sampled":
         rng = random.Random(seed)
         consider(tuple(range(1, n + 1)))
         base = list(range(1, n + 1))

@@ -285,17 +285,27 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK if not violations else EXIT_COUNTEREXAMPLE
 
 
+def _coloring(args, H: Hypergraph) -> Coloring:
+    """The coloring a witness search runs on: with --seed, a seeded
+    random proper coloring (--colors colors, default chi); otherwise
+    the optimal coloring the chromatic search finds."""
+    if args.seed is not None and args.colors:
+        rng = random.Random(args.seed)
+        return colorful.random_proper_coloring(H, args.colors, rng)
+    chi = hypergraph.chromatic_number(H)
+    if chi.coloring is None:
+        raise _UsageError("a singleton edge leaves no proper coloring (chi = inf)")
+    if args.seed is None:
+        return chi.coloring
+    rng = random.Random(args.seed)
+    return colorful.random_proper_coloring(H, chi.coloring.palette_size, rng)
+
+
 def _cmd_colorful(args) -> int:
     H = _load(args)
     p = args.p
     _check_prime(p, args)
-    if args.seed is not None:
-        rng = random.Random(args.seed)
-        colors = args.colors or int(hypergraph.chromatic_number(H).value)
-        c = colorful.random_proper_coloring(H, colors, rng)
-    else:
-        c = hypergraph.chromatic_number(H).coloring
-    w = colorful.find_colorful_balanced(H, c, p, args.target)
+    w = colorful.find_colorful_balanced(H, _coloring(args, H), p, args.target)
     if isinstance(w, colorful.ColorfulWitness):
         payload = {
             "found": True,
@@ -311,13 +321,7 @@ def _cmd_colorful(args) -> int:
 
 def _cmd_zigzag(args) -> int:
     G = _load(args)
-    if args.seed is not None:
-        rng = random.Random(args.seed)
-        colors = args.colors or int(hypergraph.chromatic_number(G).value)
-        c = colorful.random_proper_coloring(G, colors, rng)
-    else:
-        c = hypergraph.chromatic_number(G).coloring
-    w = colorful.zigzag_check(G, c, args.t)
+    w = colorful.zigzag_check(G, _coloring(args, G), args.t)
     if isinstance(w, colorful.ZigzagWitness):
         payload = {
             "found": True,
@@ -397,7 +401,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_instance(sp, family=False):
+def _add_instance(sp):
     sp.add_argument("--file", help="hypergraph text file (v/e line format)")
     sp.add_argument(
         "--graph",
@@ -494,7 +498,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_indbounds)
 
     sp = add_parser("bounds", help="the full bound hierarchy for F, r, p")
-    _add_instance(sp, family=True)
+    _add_instance(sp)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--depth", type=int, default=0)
@@ -519,11 +523,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--p", type=int)
     sp.add_argument("--alpha", type=int)
-    sp.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="exhaustive enumeration (always on; accepted for manifests)",
-    )
     sp.add_argument("--manifest", help="campaign manifest JSON")
     sp.set_defaults(func=_cmd_verify)
 
@@ -541,7 +540,7 @@ def main(argv: Optional[list] = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExhausted, TimeoutError):
+    except BudgetExhausted:
         print("error: search budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -368,17 +368,7 @@ def proper_colorings_canonical(
     H: Hypergraph, max_colors: int
 ) -> Iterator[Coloring]:
     """All proper colorings up to color permutation."""
-    masks = H.edge_masks
-
-    def closes_edge(assignment, i):
-        col = assignment[i]
-        cmask = 0
-        for v0 in range(i + 1):
-            if assignment[v0] == col:
-                cmask |= 1 << v0
-        return any(m & ~cmask == 0 for m in masks)
-
-    for assignment in _canonical_colorings(H.n, closes_edge, max_colors):
+    for assignment in _canonical_colorings(H, max_colors):
         yield Coloring(assignment, palette_size=max_colors)
 
 

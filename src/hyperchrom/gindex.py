@@ -1,11 +1,16 @@
 """Value and sign functions, the cross-index, and certified index bounds.
 
-The cross-index Xind of a free Z_p-poset is computed exactly by
-backtracking over orbit representatives.  The simplicial index ind is
-not computable by finite search (failing to find a simplicial map at a
-bounded subdivision depth does not refute a continuous map), so it is
-reported as a certified interval: every bound carries a certificate
-that can be re-checked independently.
+The cross-index Xind of a free Z_p-poset is computed exactly: for each
+n in turn, an equivariant (sign, level) labeling of orbit
+representatives is encoded as CNF and decided by the SAT solver in
+:mod:`.sat`, so the first satisfiable n is the value.  The same search
+finds the simplicial maps behind the upper bounds on ind.
+
+The simplicial index ind is not computable by finite search (failing
+to find a simplicial map at a bounded subdivision depth does not
+refute a continuous map), so it is reported as a certified interval:
+every bound carries a certificate that can be re-checked
+independently.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .complexes import (
     orbit_decomposition,
 )
 from .hypergraph import Hypergraph, SearchBudget
+from .sat import SatSolver
 
 __all__ = [
     "LabeledSimplex",
@@ -142,17 +148,19 @@ def canonical_sign(x, p: Optional[int] = None) -> int:
 
 ORDER = 0  # x < y: level(x) < level(y), or identical labels
 NO_CLASH = 1  # x, y share a simplex: equal levels force equal signs
+_ORDER_REVERSED = 2  # ORDER with the two sides swapped
 
 
 class _EquivariantCSP:
-    """Backtracking search for a Z_p-equivariant labeling by (sign, level).
+    """Search for a Z_p-equivariant labeling by (sign, level).
 
     Variables are orbit representatives; every element is rep shifted by
     a power of the generator, so assigning a rep fixes its whole orbit.
     Binary constraints relate elements; they are translated to rep-level
-    value pairs through the shifts.  Forward checking with a
-    minimum-remaining-values variable order; the first representative's
-    sign is pinned to 0 (composing with a global rotation is harmless).
+    constraints through the shifts.  :meth:`solve` encodes the problem
+    as CNF for the clause-learning solver in :mod:`.sat`; the first
+    representative's sign is pinned to 0 (composing with a global
+    rotation is harmless).
     """
 
     def __init__(self, p: int, n_orbits: int, levels: int):
@@ -174,48 +182,35 @@ class _EquivariantCSP:
         if a < b:
             self.constraints.setdefault((a, b), []).append((sa, sb, kind))
         else:
-            flip = ORDER + 2 if kind == ORDER else NO_CLASH
+            flip = _ORDER_REVERSED if kind == ORDER else NO_CLASH
             self.constraints.setdefault((b, a), []).append((sb, sa, flip))
-
-    def _ok(self, va, vb, sa: int, sb: int, kind: int) -> bool:
-        ea, la = va
-        eb, lb = vb
-        same = la == lb and (ea + sa - eb - sb) % self.p == 0
-        if kind == ORDER:  # a's element below b's element
-            return la < lb or same
-        if kind == ORDER + 2:  # b's element below a's element
-            return lb < la or same
-        return la != lb or (ea + sa - eb - sb) % self.p == 0
 
     def solve(self, budget: Optional[SearchBudget] = None) -> Optional[list]:
         """Find a satisfying assignment of (sign, level) per orbit, or None.
 
-        For p = 2 the problem is translated to CNF and handed to the
-        clause-learning solver in :mod:`.sat`, which handles the large
-        refutation instances; otherwise a backtracking search with full
-        arc consistency is used.
+        Per orbit, level bools G_j <=> (level > j) in an order encoding,
+        and one sign literal per residue: for p = 2 the residues 0 and 1
+        are the two phases of one variable, for p >= 3 each residue has
+        its own variable and exactly one is true.  ``budget`` counts the
+        solver's branching decisions; BudgetExhausted is raised when it
+        runs out.
         """
         if self.infeasible:
             return None
         if self.n_orbits == 0:
             return []
-        if self.p == 2:
-            return self._solve_sat()
-        return self._solve_mac(budget)
-
-    def _solve_sat(self) -> Optional[list]:
-        """CNF translation for p = 2: per orbit, level bools G_j <=>
-        (level > j) in an order encoding plus one sign bool."""
-        from .sat import SatSolver
-
-        L = self.levels
-        nvars_per = L  # L-1 level bools and one sign bool
+        p, L = self.p, self.levels
+        nvars_per = L - 1 + (1 if p == 2 else p)
 
         def g(a: int, j: int) -> int:
             return a * nvars_per + j  # j in 1..L-1
 
-        def s(a: int) -> int:
-            return a * nvars_per + L
+        def sig(a: int, f: int) -> int:
+            """The literal "orbit a has sign f"."""
+            if p == 2:
+                s = a * nvars_per + L
+                return s if f else -s
+            return a * nvars_per + L + f
 
         clauses: set[tuple[int, ...]] = set()
 
@@ -225,17 +220,17 @@ class _EquivariantCSP:
         for a in range(self.n_orbits):
             for j in range(2, L):
                 add(-g(a, j), g(a, j - 1))
-        add(-s(0))  # pin the first representative's sign
-
-        def sign_eq_clauses(a: int, b: int, q: int) -> list[list[int]]:
-            if q == 0:
-                return [[-s(a), s(b)], [s(a), -s(b)]]
-            return [[s(a), s(b)], [-s(a), -s(b)]]
+            if p > 2:
+                add(*(sig(a, f) for f in range(p)))
+                for f, h in itertools.combinations(range(p), 2):
+                    add(-sig(a, f), -sig(a, h))
+        add(sig(0, 0))  # pin the first representative's sign
 
         for (a, b), cs in self.constraints.items():
             for sa, sb, kind in cs:
-                q = (sa + sb) % 2
-                eq = sign_eq_clauses(a, b, q)
+                # the two elements have equal signs iff sign(a) + d == sign(b)
+                d = (sa - sb) % p
+                eq = [[-sig(a, (f - d) % p), sig(b, f)] for f in range(p - 1, -1, -1)]
                 if kind == NO_CLASH:
                     for j in range(1, L + 1):
                         base = []
@@ -261,97 +256,19 @@ class _EquivariantCSP:
         solver = SatSolver(self.n_orbits * nvars_per)
         for c in clauses:
             solver.add_clause(c)
-        model = solver.solve()
+        model = solver.solve(budget)
         if model is None:
             return None
+
+        def holds(lit: int) -> bool:
+            return model[abs(lit)] == (lit > 0)
+
         out = []
         for a in range(self.n_orbits):
+            sign = next(f for f in range(p) if holds(sig(a, f)))
             level = 1 + sum(1 for j in range(1, L) if model[g(a, j)])
-            out.append((1 if model[s(a)] else 0, level))
+            out.append((sign, level))
         return out
-
-    def _solve_mac(self, budget: Optional[SearchBudget] = None) -> Optional[list]:
-        """Backtracking with full arc consistency maintained at every node.
-
-        Domains are bitmasks over value indices; each directed
-        constrained pair carries a precomputed support table, so an AC
-        revision is a few integer operations.
-        """
-        budget = budget or SearchBudget()
-        p, levels = self.p, self.levels
-        values = [(e, l) for l in range(1, levels + 1) for e in range(p)]
-        nv = len(values)
-
-        # arcs[a] = list of (b, support) with support[va] = mask of
-        # b-values compatible with a-value va under every constraint
-        arcs: list[list[tuple[int, list[int]]]] = [[] for _ in range(self.n_orbits)]
-        for (a, b), cs in self.constraints.items():
-            fwd = [0] * nv
-            bwd = [0] * nv
-            for ia, va in enumerate(values):
-                for ib, vb in enumerate(values):
-                    if all(self._ok(va, vb, sa, sb, k) for sa, sb, k in cs):
-                        fwd[ia] |= 1 << ib
-                        bwd[ib] |= 1 << ia
-            arcs[a].append((b, fwd))
-            arcs[b].append((a, bwd))
-
-        full = (1 << nv) - 1
-        sign0 = 0
-        for i, (e, _) in enumerate(values):
-            if e == 0:
-                sign0 |= 1 << i
-        dom = [full] * self.n_orbits
-        dom[0] = sign0  # pin the first representative's sign
-
-        def propagate(queue: list[int]) -> bool:
-            pending = set(queue)
-            while pending:
-                a = pending.pop()
-                da = dom[a]
-                for b, support in arcs[a]:
-                    allowed = 0
-                    m = da
-                    while m:
-                        low = m & -m
-                        allowed |= support[low.bit_length() - 1]
-                        m ^= low
-                    nb = dom[b] & allowed
-                    if nb != dom[b]:
-                        if not nb:
-                            return False
-                        dom[b] = nb
-                        pending.add(b)
-            return True
-
-        if not propagate(list(range(self.n_orbits))):
-            return None
-
-        def backtrack() -> bool:
-            budget.tick()
-            var = -1
-            best = nv + 1
-            for i in range(self.n_orbits):
-                c = dom[i].bit_count()
-                if 1 < c < best:
-                    best = c
-                    var = i
-            if var < 0:
-                return True  # every domain is a singleton
-            saved = list(dom)
-            m = dom[var]
-            while m:
-                low = m & -m
-                m ^= low
-                dom[var] = low
-                if propagate([var]) and backtrack():
-                    return True
-                dom[:] = saved
-            return False
-
-        if not backtrack():
-            return None
-        return [values[dom[i].bit_length() - 1] for i in range(self.n_orbits)]
 
 
 def _poset_orbit_structure(P: GPoset):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import inf
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 __all__ = [
     "Hypergraph",
@@ -391,14 +391,28 @@ def chromatic_number(H: Hypergraph, budget: Optional[SearchBudget] = None) -> Ch
         t += 1
 
 
-def _canonical_colorings(n: int, improper_check, max_colors: int):
-    """Yield proper colorings canonical under color permutation.
+def _canonical_colorings(
+    H: Hypergraph, max_colors: int, budget: Optional[SearchBudget] = None
+):
+    """Yield proper colorings of H canonical under color permutation.
 
     Vertex i+1 may use at most one color beyond those used by 1..i.
-    ``improper_check(prefix)`` prunes prefixes that already close a
-    monochromatic edge.
+    Prefixes that already close a monochromatic edge are pruned; each
+    such test is one node of ``budget``.
     """
+    budget = budget or SearchBudget()
+    n = H.n
+    masks = H.edge_masks
     assignment = [0] * n
+
+    def closes_edge(i: int) -> bool:
+        budget.tick()
+        c = assignment[i]
+        cmask = 0
+        for v0 in range(i + 1):
+            if assignment[v0] == c:
+                cmask |= 1 << v0
+        return any(m & ~cmask == 0 for m in masks)
 
     def rec(i: int, used: int):
         if i == n:
@@ -406,7 +420,7 @@ def _canonical_colorings(n: int, improper_check, max_colors: int):
             return
         for c in range(1, min(used + 1, max_colors) + 1):
             assignment[i] = c
-            if improper_check(assignment, i):
+            if closes_edge(i):
                 continue
             yield from rec(i + 1, max(used, c))
         assignment[i] = 0
@@ -450,21 +464,8 @@ def local_chromatic_number(H: Hypergraph, budget: Optional[SearchBudget] = None)
     """Exact local chromatic number by sweep over canonical colorings."""
     if H.uniformity is None or not H.edges:
         raise ValueError("local chromatic number needs a uniform hypergraph with an edge")
-    budget = budget or SearchBudget()
-    masks = H.edge_masks
-
-    def closes_edge(assignment: Sequence[int], i: int) -> bool:
-        budget.tick()
-        c = assignment[i]
-        cmask = 0
-        for v0 in range(i + 1):
-            if assignment[v0] == c:
-                cmask |= 1 << v0
-        done = (1 << (i + 1)) - 1
-        return any(m & ~done == 0 and m & ~cmask == 0 for m in masks)
-
     best = None
-    for colors in _canonical_colorings(H.n, closes_edge, H.n):
+    for colors in _canonical_colorings(H, H.n, budget):
         col = Coloring(colors, palette_size=max(colors))
         val = local_palette(H, col)
         if best is None or val < best:
@@ -478,7 +479,7 @@ def kneser(F: Hypergraph, r: int) -> Hypergraph:
     r-sets of pairwise disjoint F-edges."""
     if r < 2:
         raise ValueError("Kneser uniformity must be at least 2")
-    fedges = sorted(F.edges, key=_colex_key)
+    fedges = kneser_vertex_labels(F)
     masks = [_mask(e) for e in fedges]
     m = len(fedges)
     edges = []
@@ -496,13 +497,14 @@ def kneser(F: Hypergraph, r: int) -> Hypergraph:
     return Hypergraph(n=m, edges=(), uniformity=r, provenance=prov)
 
 
-def _colex_key(e: frozenset[int]) -> tuple:
-    return tuple(sorted(e, reverse=True))
+def colex_key(s: Iterable[int]) -> tuple:
+    """Sort key realizing the colexicographic total order on finite sets."""
+    return tuple(sorted(s, reverse=True))
 
 
 def kneser_vertex_labels(F: Hypergraph) -> list[frozenset[int]]:
     """F-edges in the colex order used for Kneser vertex indexing."""
-    return sorted(F.edges, key=_colex_key)
+    return sorted(F.edges, key=colex_key)
 
 
 def usual_kneser(n: int, k: int, r: int) -> Hypergraph:

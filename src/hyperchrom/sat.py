@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .hypergraph import SearchBudget
+
 __all__ = ["SatSolver"]
 
 
@@ -166,10 +168,11 @@ class SatSolver:
 
     # -- main loop ---------------------------------------------------------
 
-    def solve(self, max_conflicts: Optional[int] = None) -> Optional[list[bool]]:
+    def solve(self, budget: Optional[SearchBudget] = None) -> Optional[list[bool]]:
         """A model as bools indexed by variable (index 0 unused), or
-        None if unsatisfiable.  Raises TimeoutError when the optional
-        conflict budget runs out."""
+        None if unsatisfiable.  Each branching decision is one search
+        node of ``budget``; BudgetExhausted is raised when it runs out."""
+        budget = budget or SearchBudget()
         if not self.ok:
             return None
         for lit in self.root_units:
@@ -198,6 +201,7 @@ class SatSolver:
                     for clause in self.clauses
                 ), "internal error: incomplete propagation"
                 return model
+            budget.tick()
             self.trail_lim.append(len(self.trail))
             self._enqueue(var if self.phase[var] else -var, None)
 
@@ -206,8 +210,6 @@ class SatSolver:
                 if conflict is None:
                     break
                 conflicts_total += 1
-                if max_conflicts is not None and conflicts_total > max_conflicts:
-                    raise TimeoutError("conflict budget exhausted")
                 self.var_inc *= 1.05
                 if not self.trail_lim:
                     return None

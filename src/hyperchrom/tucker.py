@@ -17,7 +17,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .altdefect import SignedVector, alt_of_vector, alt_sigma, Ordering, signed_vectors
 from .complexes import GPoset, SimplicialGComplex
 from .gindex import LabeledSimplex, canonical_sign, value_l
-from .hypergraph import Coloring, Hypergraph, is_proper, kneser, kneser_vertex_labels
+from .hypergraph import (
+    Coloring,
+    Hypergraph,
+    colex_key,
+    is_proper,
+    kneser,
+    kneser_vertex_labels,
+)
 
 __all__ = [
     "EquivariantLabeling",
@@ -439,11 +446,6 @@ def _fan_sweep_p2(n: int, m: int, alpha: int) -> tuple[int, list]:
 # ---------------------------------------------------------------------------
 # The labeling built from a proper Kneser coloring (Theorem C machinery)
 # ---------------------------------------------------------------------------
-
-
-def colex_key(s: Iterable[int]) -> tuple:
-    """Sort key realizing the colexicographic total order on finite sets."""
-    return tuple(sorted(s, reverse=True))
 
 
 def lambda_from_coloring(

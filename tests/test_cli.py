@@ -43,6 +43,16 @@ def test_alt_and_cd(capsys):
     assert out.strip() == "cd_2 = 3"
 
 
+def test_alt_sampled_mode(capsys):
+    code, out, _ = run(
+        capsys, "alt", "--graph", "K:5:2", "--p", "2", "--mode", "sampled", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert not payload["exact"]
+    assert payload["alt"] >= 2  # an upper bound on alt_2(K_5^2) = 2
+
+
 def test_global_flags_accepted_on_either_side(capsys):
     a = run(capsys, "--json", "alt", "--graph", "K:5:2", "--p", "2")
     b = run(capsys, "alt", "--graph", "K:5:2", "--p", "2", "--json")
@@ -92,6 +102,23 @@ def test_colorful_witness_and_counterexample_exit(capsys):
     )
     assert code == 2
     assert not json.loads(out)["found"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["colorful", "--p", "2", "--target", "2"], ["zigzag"]],
+    ids=["colorful", "zigzag"],
+)
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["unseeded", "seeded"])
+def test_witness_search_without_proper_coloring_exits_one(
+    capsys, tmp_path, command, seed
+):
+    path = tmp_path / "singletons.txt"
+    path.write_text("v 2\ne 1\ne 2\n")
+    code, out, err = run(capsys, *command, "--file", str(path), *seed)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_zigzag_seeded(capsys):

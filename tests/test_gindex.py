@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from hyperchrom.complexes import (
+    barycentric_subdivision,
     box_complex,
     hom_poset,
     q_poset,
@@ -13,12 +14,19 @@ from hyperchrom.gindex import (
     LabeledSimplex,
     canonical_sign,
     check_order_map,
+    check_simplicial_map,
     ind_bounds,
     value_l,
     value_l_bruteforce,
     xind_exact,
 )
-from hyperchrom.hypergraph import complete_hypergraph, kneser
+from hyperchrom.hypergraph import (
+    BudgetExhausted,
+    SearchBudget,
+    complete_hypergraph,
+    kneser,
+    usual_kneser,
+)
 
 
 def k(n):
@@ -116,3 +124,50 @@ def test_ind_bounds_box_petersen():
     assert iv.lower == 2  # 5 - alt_2(K_5^2) - 1
     assert iv.upper >= iv.lower
     assert iv.certificates
+
+
+def checked_xind(P):
+    res = xind_exact(P)
+    assert check_order_map(P, res.witness, res.value)
+    return res.value
+
+
+def checked_ind(K, depth=0):
+    iv = ind_bounds(K, depth=depth)
+    for cert in iv.certificates:
+        if cert.kind == "explicit-map":
+            d, phi = cert.witness
+            level = K
+            for _ in range(d):
+                level = barycentric_subdivision(level)
+            assert check_simplicial_map(level, phi, cert.bound)
+    return iv.lower, iv.upper
+
+
+# p >= 3 values frozen from the arc-consistency backtracker that the SAT
+# encoding replaced
+@pytest.mark.parametrize(
+    "compute, expect",
+    [
+        (lambda: checked_ind(box_complex(usual_kneser(5, 2, 2), 3)), (1, 2)),
+        (lambda: checked_ind(box_complex(usual_kneser(6, 2, 2), 3)), (2, 3)),
+        (lambda: checked_ind(box_complex(usual_kneser(5, 3, 2), 3)), (0, 0)),
+        (lambda: checked_xind(hom_poset(usual_kneser(6, 2, 2), 2, 3)), 0),
+        (lambda: checked_xind(hom_poset(k(4), 2, 3)), 1),
+        *[
+            (lambda n=n, p=p: checked_xind(q_poset(n, p)), n)
+            for p in (3, 5)
+            for n in range(4)
+        ],
+        (lambda: checked_ind(sigma_complex(3, 3, 1), depth=1), (1, 1)),
+        (lambda: checked_ind(zp_join(3, 3)), (2, 2)),
+    ],
+)
+def test_odd_prime_values_and_witnesses(compute, expect):
+    assert compute() == expect
+
+
+@pytest.mark.parametrize("G, p", [(petersen(), 2), (k(4), 3)])
+def test_map_search_honours_budget(G, p):
+    with pytest.raises(BudgetExhausted):
+        xind_exact(hom_poset(G, 2, p), budget=SearchBudget(max_nodes=1))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hyperchrom.hypergraph import BudgetExhausted, SearchBudget
 from hyperchrom.sat import SatSolver
 
 
@@ -87,5 +88,5 @@ def test_conflict_budget_raises():
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
                 s.add_clause([-var(p1, h), -var(p2, h)])
-    with pytest.raises(TimeoutError):
-        s.solve(max_conflicts=10)
+    with pytest.raises(BudgetExhausted):
+        s.solve(SearchBudget(max_nodes=10))
