@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys
-import time
 from typing import Optional
 
 from . import altdefect, colorful, complexes, gindex, hypergraph, tucker
@@ -196,6 +195,8 @@ def _cmd_xind(args) -> int:
         H = _load(args)
         P = complexes.hom_poset(H, args.r, args.p)
     elif args.poset == "q":
+        if args.n is None:
+            raise _UsageError("--poset q needs --n")
         P = complexes.q_poset(args.n, args.p)
     else:
         raise _UsageError(f"unknown poset kind {args.poset!r}")
@@ -234,11 +235,9 @@ def _cmd_bounds(args) -> int:
                 "lower": lower if lower is not None else value,
                 "upper": upper if upper is not None else value,
                 "note": note,
-                "time": round(time.time() - t0, 3),
             }
         )
 
-    t0 = time.time()
     add("cd_p(F)", altdefect.colorability_defect(F, p))
     alt = altdefect.alt_min(F, p)
     add("|V(F)| - alt_p(F)", F.n - alt.value, note="" if alt.exact else "alt inexact")
@@ -340,10 +339,13 @@ def _cmd_zigzag(args) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
+_FAN_KEYS = ("n", "m", "p", "alpha")
+
+
 def _run_campaign_entry(entry: dict) -> dict:
     lemma = entry.get("lemma")
     if lemma == "zp-fan":
-        rep = tucker.fan_sweep(entry["n"], entry["m"], entry["p"], entry["alpha"])
+        rep = tucker.fan_sweep(*(entry[key] for key in _FAN_KEYS))
         return {
             "lemma": lemma,
             "params": list(rep.params),
@@ -360,21 +362,18 @@ def _cmd_verify(args) -> int:
     if args.manifest:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
-        runs = manifest["runs"]
+        runs = manifest.get("runs") if isinstance(manifest, dict) else None
+        if not isinstance(runs, list) or not all(isinstance(r, dict) for r in runs):
+            raise _UsageError('a manifest is an object whose "runs" is a list of objects')
     elif args.lemma:
-        runs = [
-            {
-                "lemma": args.lemma,
-                "n": args.n,
-                "m": args.m,
-                "p": args.p,
-                "alpha": args.alpha,
-            }
-        ]
+        runs = [{"lemma": args.lemma, **{key: getattr(args, key) for key in _FAN_KEYS}}]
     else:
         raise _UsageError("provide --lemma or --manifest")
     for run in runs:
         if run.get("lemma") == "zp-fan":
+            missing = [key for key in _FAN_KEYS if not isinstance(run.get(key), int)]
+            if missing:
+                raise _UsageError(f"a zp-fan run needs integer {', '.join(missing)}")
             _check_prime(run["p"], args)
     if args.threads > 1 and len(runs) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -5,14 +5,19 @@ enumerates admissible labelings (or takes a constructed one), searches
 for the chain the lemma promises, and reports a counterexample verdict
 as a first-class value if the search fails.  Verdicts never raise; the
 point is falsification-style testing of proved statements.
+
+The containment order of the signed vectors and the rotation action
+depend only on (n, p).  They are built once per (n, p) as integer
+tables, which the sweep and both labeling checkers read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .altdefect import SignedVector, alt_of_vector, alt_sigma, Ordering, signed_vectors
 from .complexes import GPoset, SimplicialGComplex
@@ -32,7 +37,6 @@ __all__ = [
     "Verdict",
     "check_labeling_conditions",
     "find_fan_chain",
-    "admissible_labelings",
     "fan_sweep",
     "SweepReport",
     "lambda_from_coloring",
@@ -114,54 +118,111 @@ class Verdict:
         return self.ok
 
 
-def _strict_pairs(vectors: Sequence[SignedVector]) -> Iterator[tuple]:
-    for X in vectors:
-        for Y in vectors:
-            if X is not Y and X != Y and X.issubset(Y):
-                yield X, Y
+@dataclass(frozen=True)
+class _SignedOrder:
+    """The nonzero signed vectors of (Z_p u {0})^n as integer tables.
+
+    Positions index ``vectors`` (lexicographic order).  Orbit
+    representative i is the lexicographically least member of its
+    rotation orbit; the vector ``reps[i].rotate(k)`` has code p*i + k.
+    """
+
+    vectors: tuple  # SignedVector, lexicographic
+    sup: tuple  # sup[v]: positions of the strict supersets of vectors[v]
+    rot: tuple  # rot[v]: position of vectors[v].rotate(1)
+    reps: tuple  # positions of the orbit representatives
+    code: tuple  # code[v] = p*i + k when vectors[v] == vectors[reps[i]].rotate(k)
+    # (a, i, d), a < i: a comparable pair of members of orbits a and i
+    # carries one sign exactly when sign(i) - sign(a) = d (mod p)
+    pairs: tuple
+    cons: tuple  # cons[i]: (a, d) per (a, i, d) in pairs; d = -1 if d varies
+
+
+@functools.lru_cache(maxsize=16)
+def _signed_order(n: int, p: int) -> _SignedOrder:
+    vectors = tuple(signed_vectors(n, p))  # itertools.product: lexicographic
+    index = {X: v for v, X in enumerate(vectors)}
+    sup = tuple(
+        tuple(w for w, Y in enumerate(vectors) if w != v and X.issubset(Y))
+        for v, X in enumerate(vectors)
+    )
+    rot = tuple(index[X.rotate(1)] for X in vectors)
+    reps: list[int] = []
+    code: list[int] = [-1] * len(vectors)
+    for v in range(len(vectors)):
+        if code[v] < 0:
+            w = v
+            for k in range(p):
+                code[w] = p * len(reps) + k
+                w = rot[w]
+            reps.append(v)
+    pairs = set()
+    for x, ys in enumerate(sup):
+        for y in ys:
+            # rotation preserves support size, so x and y lie in distinct orbits
+            (a, ka), (i, ki) = sorted((divmod(code[x], p), divmod(code[y], p)))
+            pairs.add((a, i, (ka - ki) % p))
+    pairs = sorted(pairs)
+    offsets: list[dict] = [{} for _ in reps]
+    for a, i, d in pairs:
+        offsets[i][a] = d if offsets[i].get(a, d) == d else -1
+    return _SignedOrder(
+        vectors,
+        sup,
+        rot,
+        tuple(reps),
+        tuple(code),
+        tuple(pairs),
+        tuple(tuple(sorted(o.items())) for o in offsets),
+    )
 
 
 def check_labeling_conditions(lab: EquivariantLabeling, alpha: int) -> Verdict:
     """Verify equivariance and the two chain conditions of the
-    Z_p-Tucker-Ky Fan lemma; returns the first violation found."""
+    Z_p-Tucker-Ky Fan lemma; returns the first violation found, in
+    lexicographic vector order."""
     p = lab.p
-    vectors = sorted(lab.table, key=lambda X: X.entries)
-    for X in vectors:
-        eps, j = lab(X)
-        got = lab(X.rotate(1))
+    order = _signed_order(lab.n, p)
+    vectors, sup = order.vectors, order.sup
+    labels = [lab(X) for X in vectors]
+    for v, (eps, j) in enumerate(labels):
+        got = labels[order.rot[v]]
         if got != (_rot(eps, 1, p), j):
             return Verdict(
-                False, "counterexample", "equivariance fails", witness=(X, (eps, j), got)
+                False,
+                "counterexample",
+                "equivariance fails",
+                witness=(vectors[v], (eps, j), got),
             )
-    pairs = list(_strict_pairs(vectors))
-    for X, Y in pairs:
-        (e1, j1), (e2, j2) = lab(X), lab(Y)
-        if j1 == j2 <= alpha and e1 != e2:
-            return Verdict(
-                False, "counterexample", "condition 1 fails", witness=(X, Y)
-            )
+    for x, ys in enumerate(sup):
+        e1, j1 = labels[x]
+        for y in ys:
+            e2, j2 = labels[y]
+            if j1 == j2 <= alpha and e1 != e2:
+                return Verdict(
+                    False,
+                    "counterexample",
+                    "condition 1 fails",
+                    witness=(vectors[x], vectors[y]),
+                )
     # condition 2: no strict chain of p vectors with one level >= alpha+1
     # and p pairwise distinct signs
-    sup: dict[SignedVector, list[SignedVector]] = {X: [] for X in vectors}
-    for X, Y in pairs:
-        sup[X].append(Y)
 
     def grow(chain: list, signs: set) -> Optional[tuple]:
         if len(chain) == p:
-            return tuple(chain)
-        level = lab(chain[-1])[1]
-        for Y in sup[chain[-1]]:
-            eY, jY = lab(Y)
+            return tuple(vectors[v] for v in chain)
+        level = labels[chain[-1]][1]
+        for y in sup[chain[-1]]:
+            eY, jY = labels[y]
             if jY == level and eY not in signs:
-                hit = grow(chain + [Y], signs | {eY})
+                hit = grow(chain + [y], signs | {eY})
                 if hit:
                     return hit
         return None
 
-    for X in vectors:
-        eX, jX = lab(X)
+    for x, (eX, jX) in enumerate(labels):
         if jX >= alpha + 1:
-            hit = grow([X], {eX})
+            hit = grow([x], {eX})
             if hit:
                 return Verdict(
                     False, "counterexample", "condition 2 fails", witness=hit
@@ -181,33 +242,28 @@ def find_fan_chain(lab: EquivariantLabeling, alpha: int) -> FanChain | Verdict:
     k = n - alpha
     if k <= 0:
         return FanChain((), ())
-    vectors = sorted(lab.table, key=lambda X: X.entries)
-    sup: dict[SignedVector, list[SignedVector]] = {X: [] for X in vectors}
-    for X, Y in _strict_pairs(vectors):
-        sup[X].append(Y)
-    for X in sup:
-        sup[X].sort(key=lambda Y: Y.entries)
+    order = _signed_order(n, p)
+    vectors = order.vectors
+    labels = [lab(X) for X in vectors]
+    size = [len(X.support()) for X in vectors]
     hi = math.ceil(k / p)
     lo = k // p
 
-    def admissible(X: SignedVector) -> bool:
-        return lab(X)[1] >= alpha + 1
-
-    def rec(chain: list, labels: list, counts: list) -> Optional[FanChain]:
+    def rec(chain: list, used: list, counts: list) -> Optional[FanChain]:
         if len(chain) == k:
             if all(lo <= c <= hi for c in counts[1:]):
-                return FanChain(tuple(chain), tuple(labels))
+                return FanChain(tuple(vectors[v] for v in chain), tuple(used))
             return None
-        pool = sup[chain[-1]] if chain else vectors
+        pool = order.sup[chain[-1]] if chain else range(len(vectors))
         need = k - len(chain)
-        for Y in pool:
-            if len(Y.support()) + need - 1 > n or not admissible(Y):
+        for y in pool:
+            labY = labels[y]
+            if size[y] + need - 1 > n or labY[1] < alpha + 1:
                 continue
-            labY = lab(Y)
-            if labY in labels or counts[labY[0]] >= hi:
+            if labY in used or counts[labY[0]] >= hi:
                 continue
             counts[labY[0]] += 1
-            hit = rec(chain + [Y], labels + [labY], counts)
+            hit = rec(chain + [y], used + [labY], counts)
             counts[labY[0]] -= 1
             if hit:
                 return hit
@@ -228,219 +284,142 @@ def find_fan_chain(lab: EquivariantLabeling, alpha: int) -> FanChain | Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_reps(n: int, p: int) -> list[SignedVector]:
-    reps = []
-    seen = set()
-    for X in sorted(signed_vectors(n, p), key=lambda X: X.entries):
-        if X in seen:
-            continue
-        seen.update(X.rotate(k) for k in range(p))
-        reps.append(X)
-    return reps
-
-
-def admissible_labelings(
-    n: int, m: int, p: int, alpha: int
-) -> Iterator[EquivariantLabeling]:
-    """Every equivariant labeling satisfying the two lemma conditions,
-    enumerated over orbit representatives with incremental pruning."""
-    reps = _orbit_reps(n, p)
-    values = [(eps, j) for eps in range(1, p + 1) for j in range(1, m + 1)]
-    assignment: dict[SignedVector, tuple[int, int]] = {}
-    labeled: dict[SignedVector, tuple[int, int]] = {}
-
-    def conditions_ok_pair(X, labX, Y, labY) -> bool:
-        """Pairwise screen (complete for p = 2; chains rechecked later)."""
-        if not (X.issubset(Y) or Y.issubset(X)):
-            return True
-        (e1, j1), (e2, j2) = labX, labY
-        if j1 != j2:
-            return True
-        if j1 <= alpha:
-            return e1 == e2
-        if p == 2:
-            return e1 == e2
-        return True
-
-    def rec(i: int) -> Iterator[EquivariantLabeling]:
-        if i == len(reps):
-            lab = EquivariantLabeling.from_rep_assignment(n, m, p, dict(assignment))
-            if p == 2 or check_labeling_conditions(lab, alpha).ok:
-                yield lab
-            return
-        rep = reps[i]
-        orbit = [rep.rotate(k) for k in range(p)]
-        for eps, j in values:
-            labs = [(_rot(eps, k, p), j) for k in range(p)]
-            if all(
-                conditions_ok_pair(X, lx, Y, ly)
-                for X, lx in zip(orbit, labs)
-                for Y, ly in labeled.items()
-            ) and all(
-                conditions_ok_pair(X, lx, Y, ly)
-                for (X, lx), (Y, ly) in itertools.combinations(zip(orbit, labs), 2)
-            ):
-                assignment[rep] = (eps, j)
-                for X, lx in zip(orbit, labs):
-                    labeled[X] = lx
-                yield from rec(i + 1)
-                del assignment[rep]
-                for X in orbit:
-                    del labeled[X]
-
-    yield from rec(0)
-
-
 @dataclass(frozen=True)
 class SweepReport:
     params: tuple  # (n, m, p, alpha)
     admissible: int
     failures: tuple
-    regime_ok: bool  # n - alpha <= (p-1)(m-alpha) consistency
-    checked: int = -1  # labelings actually run (< admissible when the
-    # global rotation symmetry is quotiented out; -1 means all)
+    regime_ok: bool  # n - alpha <= (p-1) max(m-alpha, 0), or nothing admissible
+    # labelings enumerated: admissible / 2 at p = 2, where the first
+    # representative's sign is pinned, and admissible at every other p
+    checked: int
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
+def _labeling(order: _SignedOrder, n: int, m: int, p: int, eps: list, lev: list):
+    """The labeling of every vector from one residue sign and one level
+    per orbit representative."""
+    table = {
+        X: ((eps[c // p] + c) % p + 1, lev[c // p])
+        for X, c in zip(order.vectors, order.code)
+    }
+    return EquivariantLabeling(n, m, p, table)
+
+
 def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
-    """Run find_fan_chain over every admissible labeling.
+    """Search for a Fan chain in every admissible labeling.
 
-    When n - alpha > (p-1)(m-alpha) the lemma implies no admissible
-    labeling exists at all; the sweep verifies that vacuity.  For p = 2
-    a flat array engine is used and labelings are checked up to the
-    global rotation (which permutes admissible labelings and preserves
-    chain existence); other p go through the generic enumerator.
+    One depth-first enumerator serves every p.  It assigns each orbit
+    representative a residue sign and a level; the rest of the labeling
+    follows by equivariance.  A pairwise screen prunes as it goes:
+    comparable vectors on one level <= alpha carry one sign (condition
+    1), and at p = 2, where condition 2 is the same pairwise rule, so do
+    those on every level.  At p >= 3 every complete labeling goes
+    through :func:`check_labeling_conditions` and only the labelings it
+    passes count.  At p = 2 the first representative's sign is pinned,
+    since the global rotation permutes the admissible labelings and
+    preserves chain existence.
+
+    Each counted labeling is searched for a chain of length n - alpha
+    on integer arrays.  A labeling without one is rebuilt and searched
+    again by :func:`find_fan_chain`; only a second miss is recorded as
+    a failure, and a disagreement raises.  When n - alpha exceeds
+    (p-1) max(m-alpha, 0) the lemma implies no admissible labeling
+    exists; the report's ``regime_ok`` records that vacuity.
     """
-    in_regime = n - alpha <= (p - 1) * (m - alpha)
-    if p == 2:
-        count, failures = _fan_sweep_p2(n, m, alpha)
-        regime_ok = in_regime or count == 0
-        return SweepReport(
-            (n, m, p, alpha), p * count, tuple(failures), regime_ok, checked=count
-        )
-    count = 0
-    failures = []
-    for lab in admissible_labelings(n, m, p, alpha):
-        count += 1
-        res = find_fan_chain(lab, alpha)
-        if isinstance(res, Verdict) and not res.ok:
-            failures.append((dict(lab.table), res))
-    regime_ok = in_regime or count == 0
-    return SweepReport((n, m, p, alpha), count, tuple(failures), regime_ok, count)
-
-
-def _fan_sweep_p2(n: int, m: int, alpha: int) -> tuple[int, list]:
-    """Exhaustive p = 2 sweep on integer arrays.
-
-    Vector indices are 2*rep + shift; a labeling is two arrays (sign
-    residue and level per representative), with the first
-    representative's sign pinned to 0 to quotient out the global
-    rotation.  Admissibility for p = 2 collapses to one binary rule:
-    comparable vectors on one level carry one sign.
-    """
-    reps = _orbit_reps(n, 2)
-    R = len(reps)
-    vec_to = {}
-    for i, r in enumerate(reps):
-        for k in range(2):
-            vec_to[r.rotate(k)] = 2 * i + k
-    pairs = [
-        (vec_to[X], vec_to[Y])
-        for X in vec_to
-        for Y in vec_to
-        if X != Y and X.issubset(Y)
-    ]
-    # per representative: constraints against earlier representatives,
-    # as (rep, parity); parity -1 marks "no shared level at all"
-    pre: list[dict] = [dict() for _ in range(R)]
-    for x, y in pairs:
-        a, b = x >> 1, y >> 1
-        lo, hi = (a, b) if a < b else (b, a)
-        par = (x + y) & 1
-        old = pre[hi].get(lo)
-        if old is None:
-            pre[hi][lo] = par
-        elif old != par:
-            pre[hi][lo] = -1
-    cons = [sorted(d.items()) for d in pre]
-
-    k_len = n - alpha
+    order = _signed_order(n, p)
+    R = len(order.reps)
+    k = n - alpha
     eps = [0] * R
     lev = [0] * R
+    screened = m if p == 2 else alpha  # levels the pairwise rule covers
+    # need[i][s]: (a, the sign a must carry when i has sign s), per
+    # constraint of rep i; -1 when no sign would do
+    need = [
+        [[(a, (s - d) % p if d >= 0 else -1) for a, d in cons] for s in range(p)]
+        for cons in order.cons
+    ]
+    first = (0,) if p == 2 else range(p)
+    signs = range(p)
+    levels = range(1, m + 1)
     count = 0
     failures: list = []
 
-    if k_len == 2:
-        flat = [(x >> 1, x & 1, y >> 1, y & 1) for x, y in pairs]
+    if k == 2:
+        # a two-chain is one comparable pair with two signs; a pair and
+        # its rotations share their offset, so one test covers them all
+        pairs = order.pairs
 
-        def leaf_has_chain() -> bool:
-            for a, ka, b, kb in flat:
-                if (
-                    lev[a] > alpha
-                    and lev[b] > alpha
-                    and (eps[a] + ka + eps[b] + kb) & 1
-                ):
+        def has_chain() -> bool:
+            for a, i, d in pairs:
+                if lev[a] > alpha and lev[i] > alpha and (eps[i] - eps[a]) % p != d:
                     return True
             return False
 
-    else:
-        sup: dict[int, list[int]] = {v: [] for v in range(2 * R)}
-        for x, y in pairs:
-            sup[x].append(y)
-        hi_cnt = math.ceil(k_len / 2)
-        lo_cnt = k_len // 2
+    else:  # one search over the superset lists; k <= 0 asks for the empty chain
+        sup, code = order.sup, order.code
+        hi, lo = math.ceil(k / p), k // p
 
-        def leaf_has_chain() -> bool:
-            labels_of = lambda v: ((eps[v >> 1] + v) & 1, lev[v >> 1])
-            good = [v for v in range(2 * R) if lev[v >> 1] > alpha]
+        def has_chain() -> bool:
+            counts = [0] * p
 
-            def rec(chain, labels, counts):
-                if len(chain) == k_len:
-                    return all(lo_cnt <= c <= hi_cnt for c in counts)
-                pool = sup[chain[-1]] if chain else good
+            def grow(pool, left: int, used: list) -> bool:
+                if left <= 0:
+                    return all(c >= lo for c in counts)
                 for v in pool:
-                    lv = labels_of(v)
-                    if lv[1] <= alpha or lv in labels or counts[lv[0]] >= hi_cnt:
-                        continue
-                    counts[lv[0]] += 1
-                    if rec(chain + [v], labels + [lv], counts):
-                        return True
-                    counts[lv[0]] -= 1
+                    i = code[v] // p
+                    j = lev[i]
+                    if j > alpha:
+                        s = (eps[i] + code[v]) % p
+                        if counts[s] < hi and (s, j) not in used:
+                            counts[s] += 1
+                            if grow(sup[v], left - 1, used + [(s, j)]):
+                                return True
+                            counts[s] -= 1
                 return False
 
-            return rec([], [], [0, 0])
-
-    def record_failure() -> None:
-        assignment = {reps[i]: (eps[i] + 1, lev[i]) for i in range(R)}
-        lab = EquivariantLabeling.from_rep_assignment(n, m, 2, assignment)
-        failures.append((dict(lab.table), find_fan_chain(lab, alpha)))
+            return grow(range(len(code)), k, [])
 
     def rec(i: int) -> None:
         nonlocal count
         if i == R:
+            lab = None
+            if p > 2:
+                lab = _labeling(order, n, m, p, eps, lev)
+                if not check_labeling_conditions(lab, alpha).ok:
+                    return
             count += 1
-            if not leaf_has_chain():
-                record_failure()
+            if not has_chain():
+                if lab is None:
+                    lab = _labeling(order, n, m, p, eps, lev)
+                res = find_fan_chain(lab, alpha)
+                if not isinstance(res, Verdict):
+                    raise RuntimeError(
+                        f"fan_sweep found no chain where find_fan_chain found {res}"
+                    )
+                failures.append((lab.table, res))
             return
-        my = cons[i]
-        for e in (0,) if i == 0 else (0, 1):
-            for j in range(1, m + 1):
-                ok = True
-                for a, par in my:
-                    if lev[a] == j and (par < 0 or (e ^ eps[a]) != par):
-                        ok = False
-                        break
-                if ok:
-                    eps[i] = e
+        for s in first if i == 0 else signs:
+            clash = set()  # levels i cannot take: a comparable rep there clashes
+            for a, t in need[i][s]:
+                if eps[a] != t:
+                    clash.add(lev[a])
+            eps[i] = s
+            for j in levels:
+                if j > screened or j not in clash:
                     lev[i] = j
                     rec(i + 1)
-        lev[i] = 0
 
     rec(0)
-    return count, failures
+    # a chain of k labels above alpha holds at most p - 1 vectors per level
+    in_regime = k <= (p - 1) * max(m - alpha, 0)
+    admissible = count * p if p == 2 else count
+    return SweepReport(
+        (n, m, p, alpha), admissible, tuple(failures), in_regime or count == 0, count
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,17 @@ def test_verify_single_run(capsys):
     assert payload["runs"][0]["admissible"] == 80
 
 
+def test_verify_alpha_beyond_n(capsys):
+    # the chain asked for is empty, so no labeling is a counterexample
+    code, out, _ = run(
+        capsys,
+        "verify", "--lemma", "zp-fan",
+        "--n", "2", "--m", "2", "--p", "2", "--alpha", "5", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["runs"][0]["counterexamples"] == 0
+
+
 def test_verify_manifest_threads(capsys, tmp_path):
     manifest = tmp_path / "campaign.json"
     manifest.write_text(
@@ -182,6 +193,48 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "no-such-command")[0] == 1
     assert run(capsys, "chromatic", "--graph", "nonsense")[0] == 1
     assert run(capsys, "verify")[0] == 1
+
+
+FAN_FLAGS = {"n": "2", "m": "2", "p": "2", "alpha": "0"}
+
+
+def assert_usage_error(result):
+    code, out, err = result
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_xind_q_poset_without_n_exits_one(capsys):
+    assert_usage_error(run(capsys, "xind", "--poset", "q", "--p", "2"))
+
+
+@pytest.mark.parametrize("missing", sorted(FAN_FLAGS))
+def test_verify_missing_parameter_exits_one(capsys, missing):
+    flags = [x for key, v in FAN_FLAGS.items() if key != missing for x in (f"--{key}", v)]
+    assert_usage_error(run(capsys, "verify", "--lemma", "zp-fan", *flags))
+
+
+@pytest.mark.parametrize("missing", sorted(FAN_FLAGS))
+def test_verify_manifest_missing_key_exits_one(capsys, tmp_path, missing):
+    entry = {key: int(v) for key, v in FAN_FLAGS.items() if key != missing}
+    manifest = tmp_path / "campaign.json"
+    manifest.write_text(json.dumps({"runs": [{"lemma": "zp-fan", **entry}]}))
+    assert_usage_error(run(capsys, "verify", "--manifest", str(manifest)))
+
+
+@pytest.mark.parametrize("content", [{}, [], {"runs": [2]}], ids=["no-runs", "list", "bad-run"])
+def test_verify_malformed_manifest_exits_one(capsys, tmp_path, content):
+    manifest = tmp_path / "campaign.json"
+    manifest.write_text(json.dumps(content))
+    assert_usage_error(run(capsys, "verify", "--manifest", str(manifest)))
+
+
+def test_bounds_json_reproducible(capsys):
+    argv = ("bounds", "--graph", "K:5:2", "--r", "2", "--p", "2", "--json")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == 0
+    assert first == second
 
 
 def test_nonprime_gate_opt_in(capsys):

@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from hyperchrom.altdefect import SignedVector, alt_min, alt_of_vector, signed_vectors
+from hyperchrom.altdefect import (
+    SignedVector,
+    alt_min,
+    alt_of_vector,
+    signed_orbit_representative,
+    signed_vectors,
+)
 from hyperchrom.complexes import SimplicialGComplex, hom_poset, q_poset, zp_join
 from hyperchrom.gindex import LabeledSimplex, xind_exact
 from hyperchrom.hypergraph import chromatic_number, complete_hypergraph, kneser
@@ -10,7 +16,6 @@ from hyperchrom.tucker import (
     EquivariantLabeling,
     FanChain,
     Verdict,
-    admissible_labelings,
     check_labeling_conditions,
     colex_key,
     fan_sweep,
@@ -98,10 +103,30 @@ def test_fan_chain_conclusions_rechecked():
     assert all(j >= 2 for _, j in fc.labels)
 
 
-def test_sweep_small_counts_match_generic_enumerator():
-    rep = fan_sweep(2, 2, 2, 0)
-    generic = sum(1 for _ in admissible_labelings(2, 2, 2, 0))
-    assert rep.admissible == generic == 80
+def brute_force_admissible(n, m, p, alpha):
+    """Every equivariant labeling, (p*m)^R of them for R orbits, that
+    check_labeling_conditions passes."""
+    reps = sorted(
+        {signed_orbit_representative(X) for X in signed_vectors(n, p)},
+        key=lambda X: X.entries,
+    )
+    values = [(eps, j) for eps in range(1, p + 1) for j in range(1, m + 1)]
+    for labels in itertools.product(values, repeat=len(reps)):
+        lab = EquivariantLabeling.from_rep_assignment(n, m, p, dict(zip(reps, labels)))
+        if check_labeling_conditions(lab, alpha).ok:
+            yield lab
+
+
+@pytest.mark.parametrize(
+    "n, m, p, alpha",
+    [(2, 2, 2, 0), (2, 2, 2, 1), (2, 1, 3, 0), (2, 2, 3, 1), (2, 2, 2, 5), (1, 1, 3, 5)],
+)
+def test_sweep_matches_brute_force(n, m, p, alpha):
+    # alpha >= n asks for the empty chain, which every labeling has
+    admissible = list(brute_force_admissible(n, m, p, alpha))
+    assert all(isinstance(find_fan_chain(lab, alpha), FanChain) for lab in admissible)
+    rep = fan_sweep(n, m, p, alpha)
+    assert rep.admissible == len(admissible) > 0
     assert rep.ok and rep.regime_ok
 
 
@@ -126,9 +151,10 @@ def test_classical_tucker_m_must_reach_n(n):
 
 
 def test_nonprime_probe_runs():
-    # p = 4 at tiny size: outcomes recorded, not interpreted
+    # p = 4 at tiny size: the count is pinned, chain outcomes are recorded
+    # but not interpreted
     rep = fan_sweep(2, 2, 4, 0)
-    assert rep.admissible >= 0
+    assert rep.admissible == 262_144
     assert isinstance(rep.ok, bool)
 
 
