@@ -267,68 +267,97 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _PartiteSearch:
     """Shared machinery for enumerating complete r-uniform p-partite
-    part families of H (empty parts allowed)."""
+    part families of H (empty parts allowed).
+
+    The search state is the family being built: ``parts`` as vertex
+    sets (they become the yielded frozensets), the same parts as
+    bitmasks in ``masks``, and their union ``used``.  At r = 2, slot
+    (eps, v) can join iff v is unused and every vertex in another part
+    is adjacent to v: ``(used & ~masks[eps]) & ~adj[v] == 0``.  Other r
+    test every transversal through v against the edge set.  The state is
+    shared, so an instance runs one enumeration at a time.
+    """
 
     def __init__(self, H: Hypergraph, p: int, r: int):
         self.H = H
         self.p = p
         self.r = r
         self.eset = H.edge_set()
-        self.adj: dict[int, set[int]] = {v: set() for v in H.vertices}
+        self.adj = [0] * (H.n + 1)  # neighbour bitmask of each vertex (r = 2)
         if r == 2:
             for e in H.edges:
                 a, b = tuple(e)
-                self.adj[a].add(b)
-                self.adj[b].add(a)
+                self.adj[a] |= 1 << b
+                self.adj[b] |= 1 << a
         self.slots = [(eps, v) for v in H.vertices for eps in range(p)]
+        self.parts: list[set[int]] = [set() for _ in range(p)]
+        self.masks = [0] * p
+        self.used = 0
 
-    def feasible_add(self, parts: Sequence[set[int]], eps: int, v: int) -> bool:
-        if any(v in part for part in parts):
+    def feasible_add(self, eps: int, v: int) -> bool:
+        if self.used >> v & 1:
             return False
-        others = [part for i, part in enumerate(parts) if i != eps and part]
+        if self.r == 2:
+            return not (self.used & ~self.masks[eps]) & ~self.adj[v]
+        others = [part for i, part in enumerate(self.parts) if i != eps and part]
         if len(others) < self.r - 1:
             return True
-        if self.r == 2:
-            return all(part <= self.adj[v] for part in others)
         for chosen in itertools.combinations(others, self.r - 1):
             for combo in itertools.product(*chosen):
                 if frozenset(combo) | {v} not in self.eset:
                     return False
         return True
 
+    def _add(self, eps: int, v: int) -> None:
+        self.parts[eps].add(v)
+        self.masks[eps] |= 1 << v
+        self.used |= 1 << v
+
+    def _remove(self, eps: int, v: int) -> None:
+        self.parts[eps].remove(v)
+        self.masks[eps] ^= 1 << v
+        self.used ^= 1 << v
+
     def families(self) -> Iterator[tuple[frozenset[int], ...]]:
         """Every feasible family exactly once (fixed slot order)."""
-        parts: list[set[int]] = [set() for _ in range(self.p)]
 
         def rec(start: int) -> Iterator[tuple[frozenset[int], ...]]:
-            yield tuple(frozenset(part) for part in parts)
+            yield tuple(frozenset(part) for part in self.parts)
             for idx in range(start, len(self.slots)):
                 eps, v = self.slots[idx]
-                if self.feasible_add(parts, eps, v):
-                    parts[eps].add(v)
+                if self.feasible_add(eps, v):
+                    self._add(eps, v)
                     yield from rec(idx + 1)
-                    parts[eps].remove(v)
+                    self._remove(eps, v)
 
         yield from rec(0)
 
     def maximal_families(self) -> Iterator[tuple[frozenset[int], ...]]:
-        parts: list[set[int]] = [set() for _ in range(self.p)]
-
         def rec(start: int) -> Iterator[tuple[frozenset[int], ...]]:
             extendable = False
             for idx in range(start, len(self.slots)):
                 eps, v = self.slots[idx]
-                if self.feasible_add(parts, eps, v):
+                if self.feasible_add(eps, v):
                     extendable = True
-                    parts[eps].add(v)
+                    self._add(eps, v)
                     yield from rec(idx + 1)
-                    parts[eps].remove(v)
+                    self._remove(eps, v)
             if not extendable and not any(
-                self.feasible_add(parts, eps, v) for eps, v in self.slots[:start]
+                self.feasible_add(eps, v) for eps, v in self.slots[:start]
             ):
-                yield tuple(frozenset(part) for part in parts)
+                yield tuple(frozenset(part) for part in self.parts)
 
         yield from rec(0)
 
@@ -384,14 +413,20 @@ def hom_poset(H: Hypergraph, r: int, p: int) -> GPoset:
         key=lambda fam: tuple(sorted(part) for part in fam),
     )
     index = {fam: i for i, fam in enumerate(elements)}
+    # holders[eps][x]: bitmask of the elements whose part eps contains x;
+    # the elements above fam are those holding every vertex of every part
+    holders: list[dict[int, int]] = [{} for _ in range(p)]
+    for i, fam in enumerate(elements):
+        for eps, part in enumerate(fam):
+            for x in part:
+                holders[eps][x] = holders[eps].get(x, 0) | 1 << i
     above = []
-    for fam in elements:
-        ups = frozenset(
-            j
-            for j, other in enumerate(elements)
-            if other != fam and all(a <= b for a, b in zip(fam, other))
-        )
-        above.append(ups)
+    for i, fam in enumerate(elements):
+        ups = -1
+        for eps, part in enumerate(fam):
+            for x in part:
+                ups &= holders[eps][x]
+        above.append(frozenset(_bit_indices(ups & ~(1 << i))))
     gen = tuple(index[fam[1:] + fam[:1]] for fam in elements)
     return GPoset(
         tuple(elements), tuple(above), p, gen, provenance=("hom", H, r, p)

@@ -325,6 +325,12 @@ def check_order_map(P: GPoset, psi: dict[int, tuple[int, int]], n: int) -> bool:
     return True
 
 
+def _require_checked(ok: bool, what: str) -> None:
+    """Refuse a witness that fails its independent checker."""
+    if not ok:
+        raise RuntimeError(f"internal error: the {what} found fails its re-check")
+
+
 @dataclass(frozen=True)
 class XindResult:
     """Exact cross-index with its witness map (element index -> (eps, level))."""
@@ -346,7 +352,8 @@ def xind_exact(
 
     The empty poset has cross-index -1 by convention.  The map
     x -> (sign, height of x) is always order preserving, so n_max
-    defaults to height(P) - 1 and the result is exact by default.
+    defaults to height(P) - 1 and the result is exact by default.  The
+    witness map has passed :func:`check_order_map`.
     """
     if len(P) == 0:
         return XindResult(value=-1, n_max=-1)
@@ -355,6 +362,7 @@ def xind_exact(
     for n in range(0, n_max + 1):
         psi = _search_order_map(P, n, budget)
         if psi is not None:
+            _require_checked(check_order_map(P, psi, n), f"order map for n = {n}")
             return XindResult(value=n, n_max=n_max, witness=psi)
     return XindResult(value=None, n_max=n_max)
 
@@ -543,7 +551,9 @@ def ind_bounds(
     simplicial Z_p-maps sd^d(K) -> Z_p^{*(n+1)} for d <= depth (skipped
     for complexes above ``map_search_limit`` vertices).  Lower bounds:
     equivariant subcomplex embeddings of Z_p^{*(m+1)}, and inequalities
-    registered against the complex's provenance.
+    registered against the complex's provenance.  Every map and
+    embedding certificate has passed :func:`check_simplicial_map` or
+    :func:`check_join_embedding`.
     """
     if not K.is_free():
         raise ValueError("ind bounds require a free complex")
@@ -563,6 +573,9 @@ def ind_bounds(
     if len(K.vertices) <= map_search_limit:
         m, coords = _search_join_embedding(K, min(embed_cap, upper), budget)
         if m > lower:
+            _require_checked(
+                check_join_embedding(K, coords, m), f"subcomplex embedding for m = {m}"
+            )
             lower = m
             certificates.append(Certificate("subcomplex-embedding", m, witness=coords))
 
@@ -576,6 +589,10 @@ def ind_bounds(
             for n in range(max(lower, 0), hi):
                 phi = _search_simplicial_map(level, n, budget)
                 if phi is not None:
+                    _require_checked(
+                        check_simplicial_map(level, phi, n),
+                        f"simplicial map for n = {n} at depth {d}",
+                    )
                     upper = n
                     certificates.append(
                         Certificate("explicit-map", n, witness=(d, phi))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hyperchrom.complexes import (
@@ -14,7 +16,12 @@ from hyperchrom.complexes import (
     sigma_simplex,
     zp_join,
 )
-from hyperchrom.hypergraph import complete_hypergraph, kneser, usual_kneser
+from hyperchrom.hypergraph import (
+    build_hypergraph,
+    complete_hypergraph,
+    kneser,
+    usual_kneser,
+)
 
 
 def petersen():
@@ -127,3 +134,90 @@ def test_gposet_height_and_action():
     assert P.height() == 3
     x = 0
     assert P.act(2, x) == x  # involution
+
+
+def c5():
+    return build_hypergraph(5, [(i, i % 5 + 1) for i in range(1, 6)])
+
+
+def _joins(H, parts, eps, v):
+    """Every r-set that takes v and one vertex from each of r - 1 other
+    nonempty parts is an edge of H."""
+    others = [part for i, part in enumerate(parts) if i != eps and part]
+    return all(
+        frozenset(combo) | {v} in H.edge_set()
+        for chosen in itertools.combinations(others, H.uniformity - 1)
+        for combo in itertools.product(*chosen)
+    )
+
+
+def _reference_families(H, p):
+    """Every family of p disjoint parts (empty parts allowed) whose
+    transversals are edges, vertex by vertex: each vertex goes to no
+    part or to a part it joins (the condition is hereditary)."""
+    out = []
+    parts = [set() for _ in range(p)]
+
+    def rec(v):
+        if v > H.n:
+            out.append(tuple(frozenset(part) for part in parts))
+            return
+        rec(v + 1)
+        for eps in range(p):
+            if _joins(H, parts, eps, v):
+                parts[eps].add(v)
+                rec(v + 1)
+                parts[eps].remove(v)
+
+    rec(1)
+    return out
+
+
+PARTITE_CASES = [
+    (k(4), 2),
+    (k(4), 3),
+    (c5(), 2),
+    (c5(), 3),
+    (petersen(), 2),
+    (petersen(), 3),
+    (usual_kneser(5, 2, 2), 2),
+    (usual_kneser(5, 2, 2), 3),
+    # 3-uniform instances take the general-r feasibility test
+    (complete_hypergraph(5, 3), 3),
+    (build_hypergraph(6, [(1, 2, 3), (1, 2, 4), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6)]), 3),
+]
+
+
+@pytest.mark.parametrize("H, p", PARTITE_CASES)
+def test_hom_poset_matches_pairwise_definition(H, p):
+    P = hom_poset(H, H.uniformity, p)
+    families = _reference_families(H, p)
+    elements = sorted(
+        (fam for fam in families if all(fam)),
+        key=lambda fam: tuple(sorted(part) for part in fam),
+    )
+    assert list(P.labels) == elements
+    for i, fam in enumerate(elements):
+        ups = frozenset(
+            j
+            for j, other in enumerate(elements)
+            if j != i and all(a <= b for a, b in zip(fam, other))
+        )
+        assert list(P.above[i]) == list(ups)
+
+
+@pytest.mark.parametrize("H, p", PARTITE_CASES)
+def test_box_complex_matches_reference_enumeration(H, p):
+    maximal = []
+    for fam in _reference_families(H, p):
+        used = set().union(*fam)
+        if not any(
+            _joins(H, fam, eps, v)
+            for v in H.vertices
+            if v not in used
+            for eps in range(p)
+        ):
+            maximal.append(frozenset((eps, v) for eps in range(p) for v in fam[eps]))
+    B = box_complex(H, p)
+    assert len(B.maximal_simplices) == len(maximal)
+    assert set(B.maximal_simplices) == set(maximal)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hyperchrom import gindex
 from hyperchrom.complexes import (
     barycentric_subdivision,
     box_complex,
@@ -171,3 +172,49 @@ def test_odd_prime_values_and_witnesses(compute, expect):
 def test_map_search_honours_budget(G, p):
     with pytest.raises(BudgetExhausted):
         xind_exact(hom_poset(G, 2, p), budget=SearchBudget(max_nodes=1))
+
+
+def _moving_one_sign(search):
+    """``search`` with the residue of one element of its map shifted,
+    which breaks equivariance."""
+
+    def tampered(X, n, budget=None):
+        found = search(X, n, budget)
+        if found is not None:
+            found = dict(found)
+            x = next(iter(found))
+            e, l = found[x]
+            found[x] = ((e + 1) % X.p, l)
+        return found
+
+    return tampered
+
+
+def test_tampered_order_map_is_refused(monkeypatch):
+    monkeypatch.setattr(
+        gindex, "_search_order_map", _moving_one_sign(gindex._search_order_map)
+    )
+    with pytest.raises(RuntimeError, match="internal error"):
+        xind_exact(hom_poset(petersen(), 2, 2))
+
+
+def test_tampered_simplicial_map_is_refused(monkeypatch):
+    monkeypatch.setattr(
+        gindex,
+        "_search_simplicial_map",
+        _moving_one_sign(gindex._search_simplicial_map),
+    )
+    with pytest.raises(RuntimeError, match="internal error"):
+        ind_bounds(box_complex(petersen(), 2))
+
+
+def test_tampered_join_embedding_is_refused(monkeypatch):
+    search = gindex._search_join_embedding
+
+    def dropping_a_coordinate(K, size_cap, budget=None):
+        m, coords = search(K, size_cap, budget)
+        return m, coords[:-1]
+
+    monkeypatch.setattr(gindex, "_search_join_embedding", dropping_a_coordinate)
+    with pytest.raises(RuntimeError, match="internal error"):
+        ind_bounds(zp_join(2, 2))
