@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .complexes import hom_poset
-from .gindex import xind_exact
+from .gindex import _require_checked, xind_exact
 from .hypergraph import (
     Coloring,
     Hypergraph,
     PartiteFamily,
     _canonical_colorings,
+    _neighbour_masks,
     clique_number,
     independence_number,
     is_complete_partite,
@@ -39,6 +40,7 @@ __all__ = [
     "find_colorful_balanced",
     "ZigzagWitness",
     "zigzag_check",
+    "validate_zigzag",
     "LocalFormulas",
     "local_lower_formulas",
     "LocalReport",
@@ -64,6 +66,8 @@ def validate_colorful(
     """Re-check the three witness invariants from scratch."""
     r = r or H.uniformity
     parts = w.parts.parts
+    if len(w.color_sets) != len(parts):
+        return Verdict(False, "counterexample", "one color set per part needed")
     for part, colors in zip(parts, w.color_sets):
         if frozenset(c(v) for v in part) != colors:
             return Verdict(False, "counterexample", "stored colors wrong", witness=(part,))
@@ -81,9 +85,18 @@ def _search_parts(
     H: Hypergraph, c: Coloring, sizes: tuple[int, ...], r: int
 ) -> Optional[tuple[frozenset[int], ...]]:
     """Lexicographically least tuple of rainbow parts of the given sizes
-    spanning a complete r-uniform partite subhypergraph, or None."""
+    spanning a complete r-uniform partite subhypergraph, or None.
+
+    Part i is drawn in ``itertools.combinations`` order from a sorted
+    candidate list, and ``transversals_ok`` tests it against the parts
+    before it.  The candidates are the unused vertices; at r = 2 only
+    the common neighbours of every vertex already placed, since any
+    other vertex fails the edge test.  The combinations this skips hold
+    no witness, so the first hit is the lexicographically least one.
+    """
     eset = H.edge_set()
     verts = sorted(H.vertices)
+    adj = _neighbour_masks(H) if r == 2 else None
 
     def transversals_ok(parts: list[frozenset[int]]) -> bool:
         new = len(parts) - 1
@@ -96,23 +109,28 @@ def _search_parts(
                     return False
         return True
 
-    def rec(i: int, parts: list, used: set) -> Optional[tuple]:
+    def rec(i: int, parts: list, allowed: int) -> Optional[tuple]:
         if i == len(sizes):
             return tuple(parts)
         for combo in itertools.combinations(
-            [v for v in verts if v not in used], sizes[i]
+            [v for v in verts if allowed >> v & 1], sizes[i]
         ):
             if len({c(v) for v in combo}) != len(combo):
                 continue
             parts.append(frozenset(combo))
             if transversals_ok(parts):
-                hit = rec(i + 1, parts, used | set(combo))
+                rest = allowed
+                for v in combo:
+                    rest &= ~(1 << v)
+                    if adj is not None:
+                        rest &= adj[v]
+                hit = rec(i + 1, parts, rest)
                 if hit:
                     return hit
             parts.pop()
         return None
 
-    return rec(0, [], set())
+    return rec(0, [], sum(1 << v for v in verts))
 
 
 def find_colorful_balanced(
@@ -121,10 +139,15 @@ def find_colorful_balanced(
     """A colorful balanced complete r-uniform p-partite subhypergraph on
     ``target`` vertices; if none exists (falsifying the theorem when
     the target is a certified bound), the verdict carries the largest
-    achievable total and its witness."""
+    achievable total and its witness.  Every witness is re-checked by
+    ``validate_colorful`` before it is returned."""
     r = H.uniformity
     if r is None:
         raise ValueError("H must be uniform")
+    if p < 1:
+        raise ValueError("p must be positive")
+    if target < 0:
+        raise ValueError("target must be nonnegative")
     if not is_proper(H, c):
         raise ValueError("c is not a proper coloring of H")
     best: Optional[ColorfulWitness] = None
@@ -137,6 +160,7 @@ def find_colorful_balanced(
                 PartiteFamily(parts),
                 tuple(frozenset(c(v) for v in part) for part in parts),
             )
+            _require_checked(validate_colorful(H, c, w, r).ok, "colorful witness")
             if total >= target:
                 return w
             best = w
@@ -162,21 +186,61 @@ class ZigzagWitness:
     colors: tuple[int, ...]  # all colors, sorted increasing
 
 
+def validate_zigzag(
+    G: Hypergraph, c: Coloring, w: ZigzagWitness, t: int
+) -> Verdict:
+    """Re-check a zig-zag witness for total size t from scratch."""
+    A, B = w.side_a, w.side_b
+
+    def refuse(detail: str) -> Verdict:
+        return Verdict(False, "counterexample", detail, witness=(w,))
+
+    if A & B:
+        return refuse("sides overlap")
+    if not (A | B) <= set(G.vertices):
+        return refuse("vertex out of range")
+    if (len(A), len(B)) != (math.ceil(t / 2), t // 2):
+        return refuse(f"side sizes {len(A)}, {len(B)} for t = {t}")
+    eset = G.edge_set()
+    if any(frozenset((u, v)) not in eset for u in A for v in B):
+        return refuse("not complete bipartite")
+    ranked = sorted((c(v), v in B) for v in A | B)
+    colors = tuple(color for color, _ in ranked)
+    if len(set(colors)) != len(colors):
+        return refuse("not rainbow")
+    if any(x[1] == y[1] for x, y in zip(ranked, ranked[1:])):
+        return refuse("colors do not alternate between the sides")
+    if colors != tuple(w.colors):
+        return refuse("stored colors wrong")
+    return Verdict(True, "pass")
+
+
 def zigzag_check(
     G: Hypergraph, c: Coloring, t: Optional[int] = None
 ) -> ZigzagWitness | Verdict:
     """A totally multicolored K_{ceil(t/2),floor(t/2)} whose colors,
     in increasing order, alternate between the two sides; t defaults to
-    Xind(Hom(K_2,G)) + 2."""
+    Xind(Hom(K_2,G)) + 2.
+
+    The witness is the lexicographically least pair (A, B): side A runs
+    in ``itertools.combinations`` order over the sorted vertices, and
+    side B likewise over the sorted common neighbours of A.  Every B
+    this skips has a vertex that fails the edge test, and as c is
+    proper no common neighbour has a color of A.  The witness is
+    re-checked by ``validate_zigzag`` before it is returned.
+    """
     if G.uniformity != 2:
         raise ValueError("zig-zag needs a graph")
     if not is_proper(G, c):
         raise ValueError("c is not a proper coloring of G")
     if t is None:
         t = xind_exact(hom_poset(G, 2, 2)).value + 2
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     sa, sb = math.ceil(t / 2), t // 2
-    eset = G.edge_set()
     verts = sorted(G.vertices)
+    adj = _neighbour_masks(G)
+    everyone = sum(1 << v for v in verts)
 
     def alternates(A: tuple[int, ...], B: tuple[int, ...]) -> bool:
         ranked = sorted([(c(v), 0) for v in A] + [(c(v), 1) for v in B])
@@ -186,19 +250,22 @@ def zigzag_check(
         colors_a = {c(v) for v in A}
         if len(colors_a) != sa:
             continue
-        rest = [v for v in verts if v not in A]
+        common = everyone
+        for v in A:
+            common &= adj[v]
+        rest = [v for v in verts if common >> v & 1]
         for B in itertools.combinations(rest, sb):
             colors_b = {c(v) for v in B}
-            if len(colors_b) != sb or colors_a & colors_b:
-                continue
-            if any(frozenset((u, v)) not in eset for u in A for v in B):
+            if len(colors_b) != sb:
                 continue
             if alternates(A, B):
-                return ZigzagWitness(
+                w = ZigzagWitness(
                     frozenset(A),
                     frozenset(B),
                     tuple(sorted(colors_a | colors_b)),
                 )
+                _require_checked(validate_zigzag(G, c, w, t).ok, "zig-zag witness")
+                return w
     return Verdict(
         False,
         "counterexample",

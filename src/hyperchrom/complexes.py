@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .altdefect import SignedVector, alt_of_vector, signed_vectors
-from .hypergraph import Hypergraph, PartiteFamily, is_complete_partite
+from .hypergraph import Hypergraph, PartiteFamily, _neighbour_masks, is_complete_partite
 
 __all__ = [
     "SimplicialGComplex",
@@ -295,12 +295,7 @@ class _PartiteSearch:
         self.p = p
         self.r = r
         self.eset = H.edge_set()
-        self.adj = [0] * (H.n + 1)  # neighbour bitmask of each vertex (r = 2)
-        if r == 2:
-            for e in H.edges:
-                a, b = tuple(e)
-                self.adj[a] |= 1 << b
-                self.adj[b] |= 1 << a
+        self.adj = _neighbour_masks(H) if r == 2 else None
         self.slots = [(eps, v) for v in H.vertices for eps in range(p)]
         self.parts: list[set[int]] = [set() for _ in range(p)]
         self.masks = [0] * p

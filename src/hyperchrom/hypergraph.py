@@ -44,6 +44,16 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
+def _neighbour_masks(G: Hypergraph) -> list[int]:
+    """Bit u of entry v is set iff uv is an edge of the graph G."""
+    adj = [0] * (G.n + 1)
+    for e in G.edges:
+        u, v = e
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 def _unmask(mask: int) -> frozenset[int]:
     out = []
     v = 1

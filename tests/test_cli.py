@@ -243,3 +243,45 @@ def test_nonprime_gate_opt_in(capsys):
     )
     assert code == 0
     assert "alt" in json.loads(out)
+
+
+KG82_SEEDED = ("--graph", "KG:8:2", "--seed", "5", "--colors", "8", "--json")
+
+
+def test_zigzag_seeded_kg82_output_pinned(capsys):
+    code, out, _ = run(capsys, "zigzag", *KG82_SEEDED, "--t", "6")
+    assert code == 0
+    pinned = {
+        "found": True,
+        "side_a": [1, 5, 6],
+        "side_b": [15, 20, 26],
+        "colors": [1, 2, 3, 4, 6, 8],
+    }
+    assert out == json.dumps(pinned, indent=2) + "\n"
+
+
+def test_colorful_seeded_kg82_output_pinned(capsys):
+    code, out, _ = run(capsys, "colorful", *KG82_SEEDED, "--p", "2", "--target", "6")
+    assert code == 0
+    pinned = {
+        "found": True,
+        "parts": [[1, 3, 5], [15, 20, 26]],
+        "colors": [[3, 6, 7], [2, 4, 8]],
+        "total": 6,
+    }
+    assert out == json.dumps(pinned, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["colorful", "--p", "2", "--target", "-1"], "target must be nonnegative"),
+        (["colorful", "--p", "0", "--target", "2", "--allow-nonprime"], "p must be positive"),
+        (["zigzag", "--t", "-1"], "t must be nonnegative"),
+    ],
+    ids=["colorful-target", "colorful-p", "zigzag-t"],
+)
+def test_bad_witness_search_input_exits_one(capsys, argv, message):
+    result = run(capsys, *argv, "--graph", "petersen")
+    assert_usage_error(result)
+    assert message in result[2]

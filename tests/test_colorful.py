@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,17 +7,20 @@ import pytest
 from hyperchrom.colorful import (
     ColorfulWitness,
     ZigzagWitness,
+    _search_parts,
     certify_local,
     find_colorful_balanced,
     local_lower_formulas,
     proper_colorings_canonical,
     random_proper_coloring,
     validate_colorful,
+    validate_zigzag,
     zigzag_check,
 )
 from hyperchrom.hypergraph import (
     Coloring,
     Hypergraph,
+    PartiteFamily,
     build_hypergraph,
     chromatic_number,
     complete_hypergraph,
@@ -108,6 +113,28 @@ def test_validate_flags_tampered_witness():
     assert not v.ok and v.detail == "stored colors wrong"
 
 
+def test_validate_refuses_parts_without_color_sets():
+    G = petersen()
+    c = random_proper_coloring(G, 3, random.Random(1))
+    assert c(6) == c(9)
+    w = ColorfulWitness(
+        PartiteFamily((frozenset({1}), frozenset({6, 9}))), (frozenset({c(1)}),)
+    )
+    v = validate_colorful(G, c, w)
+    assert not v.ok and v.detail == "one color set per part needed"
+
+
+def test_bad_search_arguments_rejected():
+    G = petersen()
+    c = random_proper_coloring(G, 3, random.Random(1))
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        find_colorful_balanced(G, c, 2, -1)
+    with pytest.raises(ValueError, match="p must be positive"):
+        find_colorful_balanced(G, c, 0, 2)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        zigzag_check(G, c, t=-1)
+
+
 # ---------------------------------------------------------------------------
 # zig-zag
 # ---------------------------------------------------------------------------
@@ -133,6 +160,193 @@ def test_zigzag_petersen_all_canonical_3_colorings():
         w = zigzag_check(G, c, t=3)
         assert isinstance(w, ZigzagWitness)
         assert len(w.side_a) == 2 and len(w.side_b) == 1
+
+
+def test_validate_zigzag_refuses_tampered_witnesses():
+    G = k(4)
+    c = Coloring((1, 2, 3, 4), palette_size=4)
+    w = zigzag_check(G, c, t=4)
+    assert validate_zigzag(G, c, w, 4).ok
+    A, B = w.side_a, w.side_b
+    a, b = min(A), min(B)
+    tampered = [
+        (4, ZigzagWitness(A, frozenset({a, b}), w.colors), "sides overlap"),
+        (4, ZigzagWitness(A, frozenset({b, 5}), w.colors), "vertex out of range"),
+        (3, w, "side sizes 2, 2 for t = 3"),
+        (
+            4,
+            ZigzagWitness(frozenset({1, 2}), frozenset({3, 4}), w.colors),
+            "colors do not alternate between the sides",
+        ),
+        (4, ZigzagWitness(A, B, (1, 2, 3, 5)), "stored colors wrong"),
+    ]
+    for t, bad, detail in tampered:
+        v = validate_zigzag(G, c, bad, t)
+        assert not v.ok and v.detail == detail
+    C4 = cycle(4)  # 1-2-3-4-1
+    halves = ZigzagWitness(frozenset({1, 2}), frozenset({3, 4}), (1, 2, 3, 4))
+    v = validate_zigzag(C4, c, halves, 4)
+    assert not v.ok and v.detail == "not complete bipartite"
+    two_colors = Coloring((1, 2, 1, 2), palette_size=2)
+    sides = ZigzagWitness(frozenset({1, 3}), frozenset({2, 4}), (1, 1, 2, 2))
+    v = validate_zigzag(C4, two_colors, sides, 4)
+    assert not v.ok and v.detail == "not rainbow"
+
+
+def test_searches_refuse_a_witness_that_fails_its_recheck(monkeypatch):
+    import hyperchrom.colorful as colorful
+
+    def refuse(*args):
+        return Verdict(False, "counterexample", "refused")
+
+    monkeypatch.setattr(colorful, "validate_zigzag", refuse)
+    monkeypatch.setattr(colorful, "validate_colorful", refuse)
+    G, c = k(4), Coloring((1, 2, 3, 4), palette_size=4)
+    with pytest.raises(RuntimeError, match="internal error"):
+        zigzag_check(G, c, t=4)
+    with pytest.raises(RuntimeError, match="internal error"):
+        find_colorful_balanced(G, c, 2, 4)
+
+
+# ---------------------------------------------------------------------------
+# the neighbourhood-restricted searches against exhaustive references
+# ---------------------------------------------------------------------------
+
+
+def reference_zigzag(G, c, t):
+    """Every rainbow side A against every side B of the other vertices;
+    the first alternating complete bipartite pair, or None."""
+    sa, sb = math.ceil(t / 2), t // 2
+    eset = G.edge_set()
+    verts = sorted(G.vertices)
+
+    def alternates(A, B):
+        ranked = sorted([(c(v), 0) for v in A] + [(c(v), 1) for v in B])
+        return all(x[1] != y[1] for x, y in zip(ranked, ranked[1:]))
+
+    for A in itertools.combinations(verts, sa):
+        colors_a = {c(v) for v in A}
+        if len(colors_a) != sa:
+            continue
+        rest = [v for v in verts if v not in A]
+        for B in itertools.combinations(rest, sb):
+            colors_b = {c(v) for v in B}
+            if len(colors_b) != sb or colors_a & colors_b:
+                continue
+            if any(frozenset((u, v)) not in eset for u in A for v in B):
+                continue
+            if alternates(A, B):
+                return ZigzagWitness(
+                    frozenset(A),
+                    frozenset(B),
+                    tuple(sorted(colors_a | colors_b)),
+                )
+    return None
+
+
+def reference_search_parts(H, c, sizes, r):
+    """Every combination of unused vertices for every part in turn."""
+    eset = H.edge_set()
+    verts = sorted(H.vertices)
+
+    def transversals_ok(parts):
+        new = len(parts) - 1
+        if len(parts) < r or not parts[new]:
+            return True
+        pool = [p for p in parts[:new] if p]
+        for others in itertools.combinations(pool, r - 1):
+            for choice in itertools.product(parts[new], *others):
+                if frozenset(choice) not in eset:
+                    return False
+        return True
+
+    def rec(i, parts, used):
+        if i == len(sizes):
+            return tuple(parts)
+        for combo in itertools.combinations(
+            [v for v in verts if v not in used], sizes[i]
+        ):
+            if len({c(v) for v in combo}) != len(combo):
+                continue
+            parts.append(frozenset(combo))
+            if transversals_ok(parts):
+                hit = rec(i + 1, parts, used | set(combo))
+                if hit:
+                    return hit
+            parts.pop()
+        return None
+
+    return rec(0, [], set())
+
+
+def assert_zigzag_matches_reference(G, c, t):
+    found = zigzag_check(G, c, t)
+    want = reference_zigzag(G, c, t)
+    assert (found if isinstance(found, ZigzagWitness) else None) == want, (c, t)
+    return want is not None
+
+
+def test_zigzag_matches_reference_on_kg72():
+    G = usual_kneser(7, 2, 2)
+    at_t6 = {(6, 0), (6, 2), (8, 0), (8, 1)}  # two hits and two misses
+    outcomes = []
+    for colors in (5, 6, 7, 8):
+        rng = random.Random(colors)
+        for i in range(3):
+            c = random_proper_coloring(G, colors, rng)
+            ts = range(7) if (colors, i) in at_t6 else range(6)
+            outcomes += [assert_zigzag_matches_reference(G, c, t) for t in ts]
+    assert outcomes.count(False) == 2
+
+
+def test_zigzag_matches_reference_on_small_graphs():
+    graphs = [
+        (petersen(), list(proper_colorings_canonical(petersen(), 4)), range(6)),
+        (k(4), list(proper_colorings_canonical(k(4), 4)), range(6)),
+        (k(2), [Coloring((1, 2), palette_size=2), Coloring((2, 1), palette_size=2)], range(4)),
+    ]
+    outcomes = set()
+    for G, colorings, ts in graphs:
+        for c in colorings:
+            for t in ts:
+                outcomes.add(assert_zigzag_matches_reference(G, c, t))
+    assert outcomes == {True, False}
+
+
+GRAPH_SIZES = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 1, 1), (2, 1, 1)]
+
+
+def test_search_parts_matches_reference_on_graphs():
+    cases = [(petersen(), c) for c in proper_colorings_canonical(petersen(), 3)]
+    cases += [(k(4), c) for c in proper_colorings_canonical(k(4), 4)]
+    cases += [(k(2), Coloring((1, 2), palette_size=2))]
+    G = usual_kneser(7, 2, 2)
+    rng = random.Random(3)
+    cases += [(G, random_proper_coloring(G, 6, rng)) for _ in range(3)]
+    outcomes = set()
+    for H, c in cases:
+        for sizes in GRAPH_SIZES:
+            want = reference_search_parts(H, c, sizes, 2)
+            assert _search_parts(H, c, sizes, 2) == want, (c, sizes)
+            outcomes.add(want is not None)
+    assert outcomes == {True, False}
+    # Petersen has girth 5: no C4, no triangle, no K_{3,3}
+    for c in proper_colorings_canonical(petersen(), 3):
+        for sizes in ((2, 2), (1, 1, 1), (3, 3)):
+            assert _search_parts(petersen(), c, sizes, 2) is None
+
+
+def test_search_parts_matches_reference_at_r3():
+    H = usual_kneser(7, 2, 3)
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(4):
+        c = random_proper_coloring(H, 4, rng)
+        for sizes in ((2, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)):
+            want = reference_search_parts(H, c, sizes, 3)
+            assert _search_parts(H, c, sizes, 3) == want, (c, sizes)
+            outcomes.add(want is not None)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
