@@ -23,13 +23,13 @@ from .hypergraph import (
     Hypergraph,
     PartiteFamily,
     _canonical_colorings,
+    _local_palettes,
     _neighbour_masks,
     clique_number,
     independence_number,
     is_complete_partite,
     is_proper,
     local_chromatic_number,
-    local_palette,
     neighborhood,
 )
 from .tucker import Verdict
@@ -408,8 +408,9 @@ def certify_local(H: Hypergraph, p: int) -> LocalReport:
     # white-box: re-run the proof's argument on one optimal coloring
     cert = None
     witness = None
+    palette = _local_palettes(H)
     for c in proper_colorings_canonical(H, max_colors=H.n):
-        if local_palette(H, c) == chi_l:
+        if palette(c.assignment) == chi_l:
             found = find_colorful_balanced(H, c, p, t)
             if isinstance(found, ColorfulWitness):
                 witness = found

@@ -38,10 +38,6 @@ __all__ = [
 Label = Hashable
 
 
-def group_label(eps: int, p: int) -> str:
-    return f"w^{eps if eps else p}"
-
-
 @dataclass(frozen=True)
 class SimplicialGComplex:
     """Finite simplicial complex with a Z_p action given by one generator.
@@ -357,18 +353,6 @@ class _PartiteSearch:
         yield from rec(0)
 
 
-def _partite_feasible_families(
-    H: Hypergraph, p: int, r: int
-) -> Iterator[tuple[frozenset[int], ...]]:
-    yield from _PartiteSearch(H, p, r).families()
-
-
-def _maximal_partite_families(
-    H: Hypergraph, p: int, r: int
-) -> Iterator[tuple[frozenset[int], ...]]:
-    yield from _PartiteSearch(H, p, r).maximal_families()
-
-
 def box_complex(H: Hypergraph, p: int) -> SimplicialGComplex:
     """Z_p-box-complex B_0(H, Z_p) on vertex set Z_p x V(H)."""
     r = H.uniformity
@@ -382,7 +366,7 @@ def box_complex(H: Hypergraph, p: int) -> SimplicialGComplex:
 
     maximal = [
         frozenset((eps, v) for eps in range(p) for v in fam[eps])
-        for fam in _maximal_partite_families(H, p, r)
+        for fam in _PartiteSearch(H, p, r).maximal_families()
     ]
     gen = _cyclic_pairs_generator(p, H.vertices)
     return SimplicialGComplex(
@@ -400,11 +384,7 @@ def hom_poset(H: Hypergraph, r: int, p: int) -> GPoset:
     if H.uniformity is not None and H.uniformity != r:
         raise ValueError("H is not r-uniform")
     elements = sorted(
-        (
-            fam
-            for fam in _partite_feasible_families(H, p, r)
-            if all(fam)
-        ),
+        (fam for fam in _PartiteSearch(H, p, r).families() if all(fam)),
         key=lambda fam: tuple(sorted(part) for part in fam),
     )
     index = {fam: i for i, fam in enumerate(elements)}

@@ -22,7 +22,6 @@ __all__ = [
     "build_hypergraph",
     "complete_hypergraph",
     "induced",
-    "partite_subhypergraph",
     "is_complete_partite",
     "clique_number",
     "independence_number",
@@ -201,35 +200,6 @@ def induced(H: Hypergraph, U: Iterable[int]) -> tuple[Hypergraph, dict[int, int]
     if not Uset:
         raise ValueError("empty vertex set")
     return build_hypergraph(len(Uset), edges), relabel
-
-
-def _induced_edge_masks(H: Hypergraph, keep_mask: int) -> list[int]:
-    return [m for m in H.edge_masks if m & ~keep_mask == 0]
-
-
-def partite_subhypergraph(H: Hypergraph, P: PartiteFamily) -> tuple[Hypergraph, PartiteFamily]:
-    """Subhypergraph H[U1,...,Uq]: edges inside the union meeting each part <= 1.
-
-    Vertices are relabeled to 1..|union|; the relabeled partition is
-    returned with the result.
-    """
-    union = sorted(P.union)
-    if any(v not in H.vertices for v in union):
-        raise ValueError("parts out of range")
-    if not union:
-        raise ValueError("empty partite family")
-    relabel = {v: i + 1 for i, v in enumerate(union)}
-    edges = []
-    for e in H.edges:
-        if not e <= set(union):
-            continue
-        if all(len(e & part) <= 1 for part in P.parts):
-            edges.append(frozenset(relabel[v] for v in e))
-    sub = build_hypergraph(len(union), edges) if edges else Hypergraph(len(union), ())
-    new_parts = PartiteFamily(
-        tuple(frozenset(relabel[v] for v in part) for part in P.parts)
-    )
-    return sub, new_parts
 
 
 def is_complete_partite(H: Hypergraph, P: PartiteFamily, r: int) -> bool:
@@ -448,39 +418,44 @@ def neighborhood(H: Hypergraph, X: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+def _local_palettes(H: Hypergraph):
+    """The palette function of :func:`local_palette` for one hypergraph.
+
+    The closed neighbourhoods are built once; the returned function maps
+    a color assignment (vertex v has color ``assignment[v-1]``) to the
+    largest number of colors on one of them.
+    """
+    if H.uniformity == 2:
+        closed = [{v} for v in H.vertices]
+        for e in H.edges:
+            for v in e:
+                closed[v - 1] |= e
+    else:
+        closed = {X | neighborhood(H, X) for e in H.edges for X in (e - {v} for v in e)}
+    sets = [tuple(v - 1 for v in S) for S in closed]
+
+    def palette(assignment) -> int:
+        return max((len({assignment[v] for v in S}) for S in sets), default=0)
+
+    return palette
+
+
 def local_palette(H: Hypergraph, c: Coloring) -> int:
     """Largest closed-neighborhood palette forced by c.
 
     Graphs use closed vertex neighborhoods; r-uniform hypergraphs use
     the edge-minus-vertex neighborhoods.
     """
-    if H.uniformity == 2:
-        return max(
-            len(c.colors_of({v} | set().union(*[e - {v} for e in H.edges if v in e])))
-            if any(v in e for e in H.edges)
-            else 1
-            for v in H.vertices
-        )
-    best = 0
-    for e in H.edges:
-        for v in e:
-            X = e - {v}
-            closed = X | neighborhood(H, X)
-            best = max(best, len(c.colors_of(closed)))
-    return best
+    return _local_palettes(H)(c.assignment)
 
 
 def local_chromatic_number(H: Hypergraph, budget: Optional[SearchBudget] = None) -> int:
     """Exact local chromatic number by sweep over canonical colorings."""
     if H.uniformity is None or not H.edges:
         raise ValueError("local chromatic number needs a uniform hypergraph with an edge")
-    best = None
-    for colors in _canonical_colorings(H, H.n, budget):
-        col = Coloring(colors, palette_size=max(colors))
-        val = local_palette(H, col)
-        if best is None or val < best:
-            best = val
-    assert best is not None
+    best = min(map(_local_palettes(H), _canonical_colorings(H, H.n, budget)), default=None)
+    if best is None:
+        raise ValueError("H has no proper coloring")
     return best
 
 
@@ -554,20 +529,6 @@ def automorphisms(H: Hypergraph) -> list[tuple[int, ...]]:
 
     rec(1)
     return out
-
-
-def vertex_orbits(H: Hypergraph, auts: Optional[list[tuple[int, ...]]] = None) -> list[frozenset[int]]:
-    """Orbits of the automorphism group on vertices."""
-    auts = auts if auts is not None else automorphisms(H)
-    seen: set[int] = set()
-    orbits = []
-    for v in H.vertices:
-        if v in seen:
-            continue
-        orbit = {a[v - 1] for a in auts}
-        orbits.append(frozenset(orbit))
-        seen |= orbit
-    return orbits
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -13,13 +13,21 @@ tables, which the sweep and both labeling checkers read.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .altdefect import SignedVector, alt_of_vector, alt_sigma, Ordering, signed_vectors
+from .altdefect import (
+    Ordering,
+    SignedVector,
+    alt_of_vector,
+    alt_sigma,
+    signed_orbit_representative,
+    signed_vectors,
+)
 from .complexes import GPoset, SimplicialGComplex
 from .gindex import LabeledSimplex, canonical_sign, value_l
 from .hypergraph import (
@@ -125,6 +133,13 @@ class _SignedOrder:
     Positions index ``vectors`` (lexicographic order).  Orbit
     representative i is the lexicographically least member of its
     rotation orbit; the vector ``reps[i].rotate(k)`` has code p*i + k.
+
+    The representatives run by support size, lexicographically within
+    one size, except that the largest layer (the support size with the
+    most representatives; ties go to the larger size) comes last, as
+    ``reps[top:]``.  Vectors of one support size are never strictly
+    comparable, so every layer is an antichain.  At n = 2 this is the
+    lexicographic order.
     """
 
     vectors: tuple  # SignedVector, lexicographic
@@ -136,6 +151,7 @@ class _SignedOrder:
     # carries one sign exactly when sign(i) - sign(a) = d (mod p)
     pairs: tuple
     cons: tuple  # cons[i]: (a, d) per (a, i, d) in pairs; d = -1 if d varies
+    top: int  # reps[top:]: the largest layer
 
 
 @functools.lru_cache(maxsize=16)
@@ -147,15 +163,18 @@ def _signed_order(n: int, p: int) -> _SignedOrder:
         for v, X in enumerate(vectors)
     )
     rot = tuple(index[X.rotate(1)] for X in vectors)
-    reps: list[int] = []
-    code: list[int] = [-1] * len(vectors)
-    for v in range(len(vectors)):
-        if code[v] < 0:
-            w = v
-            for k in range(p):
-                code[w] = p * len(reps) + k
-                w = rot[w]
-            reps.append(v)
+    size = [len(X.support()) for X in vectors]
+    leaders = [v for v, X in enumerate(vectors) if X == signed_orbit_representative(X)]
+    layer = collections.Counter(size[v] for v in leaders)
+    last = max(layer, key=lambda z: (layer[z], z), default=0)
+    # stable, so lexicographic within one support size
+    reps = sorted(leaders, key=lambda v: (size[v] == last, size[v]))
+    code = [0] * len(vectors)
+    for i, v in enumerate(reps):
+        w = v
+        for k in range(p):
+            code[w] = p * i + k
+            w = rot[w]
     pairs = set()
     for x, ys in enumerate(sup):
         for y in ys:
@@ -166,6 +185,7 @@ def _signed_order(n: int, p: int) -> _SignedOrder:
     offsets: list[dict] = [{} for _ in reps]
     for a, i, d in pairs:
         offsets[i][a] = d if offsets[i].get(a, d) == d else -1
+    top = len(reps) - layer[last]
     return _SignedOrder(
         vectors,
         sup,
@@ -174,6 +194,7 @@ def _signed_order(n: int, p: int) -> _SignedOrder:
         tuple(code),
         tuple(pairs),
         tuple(tuple(sorted(o.items())) for o in offsets),
+        top,
     )
 
 
@@ -290,7 +311,7 @@ class SweepReport:
     admissible: int
     failures: tuple
     regime_ok: bool  # n - alpha <= (p-1) max(m-alpha, 0), or nothing admissible
-    # labelings enumerated: admissible / 2 at p = 2, where the first
+    # labelings covered: admissible / 2 at p = 2, where the first
     # representative's sign is pinned, and admissible at every other p
     checked: int
 
@@ -323,18 +344,31 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
     since the global rotation permutes the admissible labelings and
     preserves chain existence.
 
-    Each counted labeling is searched for a chain of length n - alpha
-    on integer arrays.  A labeling without one is rebuilt and searched
-    again by :func:`find_fan_chain`; only a second miss is recorded as
-    a failure, and a disagreement raises.  When n - alpha exceeds
+    At p = 2 the largest support layer, which :func:`_signed_order`
+    puts last as ``reps[top:]``, is counted rather than enumerated.
+    Signed vectors of one support size are never strictly comparable,
+    so the layer is an antichain: the screen never relates two of its
+    vectors, and a chain holds at most one of them.  Once ``reps[:top]``
+    are assigned, the admissible completions are therefore the product
+    of each top representative's admissible (sign, level) options.  If
+    ``reps[:top]`` already hold a chain, every completion has one;
+    otherwise a completion lacks a chain exactly when each top
+    representative takes an option that completes none, and only those
+    completions are built.
+
+    Each labeling is searched for a chain of length n - alpha on integer
+    arrays.  A labeling without one is rebuilt and searched again by
+    :func:`find_fan_chain`; only a second miss is recorded as a failure,
+    and a disagreement raises.  When n - alpha exceeds
     (p-1) max(m-alpha, 0) the lemma implies no admissible labeling
     exists; the report's ``regime_ok`` records that vacuity.
     """
     order = _signed_order(n, p)
     R = len(order.reps)
+    top = order.top if p == 2 else R
     k = n - alpha
     eps = [0] * R
-    lev = [0] * R
+    lev = [0] * R  # 0: unassigned, never above alpha unless no chain fits (k > n)
     screened = m if p == 2 else alpha  # levels the pairwise rule covers
     # need[i][s]: (a, the sign a must carry when i has sign s), per
     # constraint of rep i; -1 when no sign would do
@@ -342,7 +376,6 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
         [[(a, (s - d) % p if d >= 0 else -1) for a, d in cons] for s in range(p)]
         for cons in order.cons
     ]
-    first = (0,) if p == 2 else range(p)
     signs = range(p)
     levels = range(1, m + 1)
     count = 0
@@ -351,11 +384,24 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
     if k == 2:
         # a two-chain is one comparable pair with two signs; a pair and
         # its rotations share their offset, so one test covers them all
+        # has_chain scans a whole labeling; touches, the pairs ending at rep i
         pairs = order.pairs
+        below = [[] for _ in range(R)]  # below[i]: (a, d) per (a, i, d) in pairs
+        for a, i, d in pairs:
+            below[i].append((a, d))
 
         def has_chain() -> bool:
             for a, i, d in pairs:
                 if lev[a] > alpha and lev[i] > alpha and (eps[i] - eps[a]) % p != d:
+                    return True
+            return False
+
+        def touches(i: int) -> bool:
+            """A chain through rep i and the reps before it."""
+            if lev[i] <= alpha:
+                return False
+            for a, d in below[i]:
+                if lev[a] > alpha and (eps[i] - eps[a]) % p != d:
                     return True
             return False
 
@@ -383,37 +429,76 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
 
             return grow(range(len(code)), k, [])
 
-    def rec(i: int) -> None:
-        nonlocal count
-        if i == R:
-            lab = None
-            if p > 2:
-                lab = _labeling(order, n, m, p, eps, lev)
-                if not check_labeling_conditions(lab, alpha).ok:
-                    return
-            count += 1
-            if not has_chain():
-                if lab is None:
-                    lab = _labeling(order, n, m, p, eps, lev)
-                res = find_fan_chain(lab, alpha)
-                if not isinstance(res, Verdict):
-                    raise RuntimeError(
-                        f"fan_sweep found no chain where find_fan_chain found {res}"
-                    )
-                failures.append((lab.table, res))
-            return
-        for s in first if i == 0 else signs:
+        def touches(_i: int) -> bool:
+            # only asked while no chain is known, so any chain is new
+            return has_chain()
+
+    def options(i: int) -> list:
+        """The (sign, level) pairs the screen lets rep i take."""
+        out = []
+        for s in (0,) if p == 2 and i == 0 else signs:
             clash = set()  # levels i cannot take: a comparable rep there clashes
             for a, t in need[i][s]:
                 if eps[a] != t:
                     clash.add(lev[a])
-            eps[i] = s
-            for j in levels:
-                if j > screened or j not in clash:
-                    lev[i] = j
-                    rec(i + 1)
+            out.extend((s, j) for j in levels if j > screened or j not in clash)
+        return out
 
-    rec(0)
+    def cross_check() -> None:
+        lab = _labeling(order, n, m, p, eps, lev)
+        res = find_fan_chain(lab, alpha)
+        if not isinstance(res, Verdict):
+            raise RuntimeError(
+                f"fan_sweep found no chain where find_fan_chain found {res}"
+            )
+        failures.append((lab.table, res))
+
+    def count_top(chained: bool) -> None:
+        """Count the completions of reps[:top]; cross-check the chainless."""
+        nonlocal count
+        layer = range(top, R)
+        opts = [options(t) for t in layer]
+        count += math.prod(map(len, opts))
+        if chained:
+            return
+        free = []  # per top rep, the options that complete no chain
+        for t, choices in zip(layer, opts):
+            keep = []
+            for s, j in choices:
+                eps[t], lev[t] = s, j
+                if not touches(t):
+                    keep.append((s, j))
+            lev[t] = 0
+            if not keep:
+                return
+            free.append(keep)
+        for labels in itertools.product(*free):
+            for t, (s, j) in zip(layer, labels):
+                eps[t], lev[t] = s, j
+            cross_check()
+        for t in layer:
+            lev[t] = 0
+
+    def rec(i: int, chained: bool) -> None:
+        nonlocal count
+        if i == R:
+            if p > 2 and not check_labeling_conditions(
+                _labeling(order, n, m, p, eps, lev), alpha
+            ).ok:
+                return
+            count += 1
+            if not has_chain():
+                cross_check()
+            return
+        if i == top:
+            count_top(chained)
+            return
+        for s, j in options(i):
+            eps[i], lev[i] = s, j
+            rec(i + 1, chained or top < R and touches(i))
+        lev[i] = 0
+
+    rec(0, has_chain())
     # a chain of k labels above alpha holds at most p - 1 vectors per level
     in_regime = k <= (p - 1) * max(m - alpha, 0)
     admissible = count * p if p == 2 else count

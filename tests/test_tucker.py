@@ -1,7 +1,10 @@
+import collections
+import dataclasses
 import itertools
 
 import pytest
 
+from hyperchrom import tucker
 from hyperchrom.altdefect import (
     SignedVector,
     alt_min,
@@ -119,7 +122,17 @@ def brute_force_admissible(n, m, p, alpha):
 
 @pytest.mark.parametrize(
     "n, m, p, alpha",
-    [(2, 2, 2, 0), (2, 2, 2, 1), (2, 1, 3, 0), (2, 2, 3, 1), (2, 2, 2, 5), (1, 1, 3, 5)],
+    [
+        (2, 2, 2, 0),
+        (2, 2, 2, 1),
+        (2, 1, 3, 0),
+        (2, 2, 3, 1),
+        (2, 2, 2, 5),
+        (1, 1, 3, 5),
+        # n = 1: the whole sweep is the counted top layer, sign pin included
+        (1, 2, 2, 0),
+        (1, 3, 2, 1),
+    ],
 )
 def test_sweep_matches_brute_force(n, m, p, alpha):
     # alpha >= n asks for the empty chain, which every labeling has
@@ -128,6 +141,74 @@ def test_sweep_matches_brute_force(n, m, p, alpha):
     rep = fan_sweep(n, m, p, alpha)
     assert rep.admissible == len(admissible) > 0
     assert rep.ok and rep.regime_ok
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_sweep_p2_n3_pinned(alpha):
+    rep = fan_sweep(3, 3, 2, alpha)
+    assert (rep.admissible, rep.checked) == (22_193_664, 11_096_832)
+    assert rep.ok and rep.regime_ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_signed_order_tables(n, p):
+    order = tucker._signed_order(n, p)
+    vectors, reps, top = order.vectors, order.reps, order.top
+    size = [len(vectors[v].support()) for v in reps]
+    # each rep is the lexicographically least member of its orbit, and
+    # code numbers the orbit by rotation
+    for v, X in enumerate(vectors):
+        i, k = divmod(order.code[v], p)
+        assert vectors[reps[i]].rotate(k) == X
+        assert reps[i] <= v
+    assert len(reps) * p == len(vectors)
+    # support sizes never decrease before top; reps[top:] is the layer
+    # with the most reps (ties to the larger support), each layer in
+    # lexicographic order
+    layer = collections.Counter(size)
+    assert size[:top] == sorted(size[:top])
+    assert set(size[top:]) == {max(layer, key=lambda z: (layer[z], z))}
+    for z in layer:
+        members = [v for v, zv in zip(reps, size) if zv == z]
+        assert members == sorted(members)
+    if n == 2:  # the lexicographic order already runs by support size
+        assert list(reps) == sorted(reps)
+    # the top layer is an antichain: no constraint joins two of its reps
+    assert all(a < i and a < top for a, i, _ in order.pairs)
+    assert {(a, i) for a, i, _ in order.pairs} == {
+        (a, i) for i, cons in enumerate(order.cons) for a, _ in cons
+    }
+
+
+def test_sweep_product_runs_cross_check(monkeypatch):
+    # with the pair list emptied the sweep's chain test finds no chain,
+    # so find_fan_chain must disagree on the first counted completion
+    real = tucker._signed_order(2, 2)
+    monkeypatch.setattr(
+        tucker, "_signed_order", lambda n, p: dataclasses.replace(real, pairs=())
+    )
+    with pytest.raises(RuntimeError, match="find_fan_chain found"):
+        fan_sweep(2, 2, 2, 0)
+
+
+@pytest.mark.parametrize("n, m, alpha", [(2, 1, 0), (2, 2, 0), (2, 2, 1), (3, 1, 1), (3, 1, 0)])
+def test_sweep_chain_test_matches_find_fan_chain(monkeypatch, n, m, alpha):
+    # without the screen the p = 2 sweep visits every equivariant
+    # labeling, so its failures must be exactly those on which
+    # find_fan_chain finds no chain (half of them: one sign is pinned)
+    real = tucker._signed_order(n, 2)
+    unscreened = dataclasses.replace(real, cons=tuple(() for _ in real.cons))
+    monkeypatch.setattr(tucker, "_signed_order", lambda n, p: unscreened)
+    rep = fan_sweep(n, m, 2, alpha)
+    reps = [real.vectors[v] for v in real.reps]
+    values = [(eps, j) for eps in (1, 2) for j in range(1, m + 1)]
+    chainless = 0
+    for labels in itertools.product(values, repeat=len(reps)):
+        lab = EquivariantLabeling.from_rep_assignment(n, m, 2, dict(zip(reps, labels)))
+        chainless += isinstance(find_fan_chain(lab, alpha), Verdict)
+    assert rep.admissible == len(values) ** len(reps)
+    assert 2 * len(rep.failures) == chainless
 
 
 def test_sweep_p3():
