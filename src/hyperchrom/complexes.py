@@ -139,7 +139,8 @@ class GPoset:
     """Finite poset with a Z_p action by order automorphisms.
 
     The strict order is stored as ``above[i]`` = indices strictly above
-    element i; labels are kept for display and witnesses.
+    element i; labels are kept for display and witnesses.  ``covers``
+    is derived from it.
     """
 
     labels: tuple[Label, ...]
@@ -162,6 +163,13 @@ class GPoset:
 
     def act(self, g: int, i: int) -> int:
         return self._perms[g % self.p][i]
+
+    @cached_property
+    def covers(self) -> tuple[frozenset[int], ...]:
+        """``covers[i]``: the elements above i with nothing strictly
+        between, i.e. the transitive reduction of the order."""
+        above = self.above
+        return tuple(ups.difference(*(above[j] for j in ups)) for ups in above)
 
     def lt(self, i: int, j: int) -> bool:
         return j in self.above[i]
@@ -411,14 +419,13 @@ def hom_poset(H: Hypergraph, r: int, p: int) -> GPoset:
 def order_complex(P: GPoset) -> SimplicialGComplex:
     """Delta P: vertices are poset elements, simplices are chains."""
     n = len(P)
-    children = [sorted(P.above[i]) for i in range(n)]
+    children = [sorted(P.covers[i]) for i in range(n)]
     minimal = [i for i in range(n) if not any(i in P.above[j] for j in range(n))]
 
     maximal: list[frozenset[int]] = []
 
     def rec(chain: list[int]) -> None:
-        last = chain[-1]
-        extensions = [j for j in children[last] if _covers(P, last, j)]
+        extensions = children[chain[-1]]
         if not extensions:
             maximal.append(frozenset(chain))
             return
@@ -433,11 +440,6 @@ def order_complex(P: GPoset) -> SimplicialGComplex:
     return SimplicialGComplex(
         verts, tuple(maximal), P.p, gen, provenance=("order_complex", P)
     )
-
-
-def _covers(P: GPoset, i: int, j: int) -> bool:
-    """j covers i: i < j with nothing strictly between."""
-    return P.lt(i, j) and not any(P.lt(k, j) for k in P.above[i] if k != j)
 
 
 def q_poset(n: int, p: int) -> GPoset:
@@ -531,8 +533,7 @@ def poset_to_text(P: GPoset) -> str:
     for i, lab in enumerate(P.labels):
         lines.append(f"element {i} {lab!r}")
     for i in range(len(P)):
-        for j in sorted(P.above[i]):
-            if _covers(P, i, j):
-                lines.append(f"cover {i} {j}")
+        for j in sorted(P.covers[i]):
+            lines.append(f"cover {i} {j}")
     lines.append("action " + " ".join(str(P.generator[i]) for i in range(len(P))))
     return "\n".join(lines) + "\n"

@@ -3,8 +3,13 @@
 The cross-index Xind of a free Z_p-poset is computed exactly: for each
 n in turn, an equivariant (sign, level) labeling of orbit
 representatives is encoded as CNF and decided by the SAT solver in
-:mod:`.sat`, so the first satisfiable n is the value.  The same search
-finds the simplicial maps behind the upper bounds on ind.
+:mod:`.sat`, so the first satisfiable n is the value.  The order
+constraints are posted on the cover pairs of the poset only: the
+relation "lower level, or the same level and the same sign" is
+transitive, and every comparable pair is joined by a chain of covers, so
+the cover CNF has exactly the models of the CNF on all comparable pairs.
+The same search finds the simplicial maps behind the upper bounds on
+ind.
 
 The simplicial index ind is not computable by finite search (failing
 to find a simplicial map at a bounded subdivision depth does not
@@ -292,11 +297,17 @@ def _poset_orbit_structure(P: GPoset):
 def _search_order_map(
     P: GPoset, n: int, budget: Optional[SearchBudget] = None
 ) -> Optional[dict[int, tuple[int, int]]]:
-    """An order-preserving Z_p-map P -> Q_{n,p}, or None."""
+    """An order-preserving Z_p-map P -> Q_{n,p}, or None.
+
+    Only the cover pairs x < y are constrained.  That is enough: the
+    constraint "level(x) < level(y), or equal levels and equal signs" is
+    transitive, and a finite poset joins every comparable pair by a chain
+    of covers, so every model also preserves the rest of the order.
+    """
     reps, orbit_of, shift_of = _poset_orbit_structure(P)
     csp = _EquivariantCSP(P.p, len(reps), n + 1)
     for x in range(len(P)):
-        for y in P.above[x]:
+        for y in P.covers[x]:
             csp.add(orbit_of[x], shift_of[x], orbit_of[y], shift_of[y], ORDER)
     sol = csp.solve(budget)
     if sol is None:

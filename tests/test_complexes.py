@@ -13,6 +13,7 @@ from hyperchrom.complexes import (
     orbit_decomposition,
     q_poset,
     sigma_complex,
+    signed_vector_poset,
     sigma_simplex,
     zp_join,
 )
@@ -221,3 +222,39 @@ def test_box_complex_matches_reference_enumeration(H, p):
     B = box_complex(H, p)
     assert len(B.maximal_simplices) == len(maximal)
     assert set(B.maximal_simplices) == set(maximal)
+
+
+def _covers(P, i, j):
+    """j covers i: i < j with nothing strictly between."""
+    return P.lt(i, j) and not any(P.lt(k, j) for k in P.above[i] if k != j)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *[
+            pytest.param(lambda G=G, p=p: hom_poset(G(), 2, p), id=f"hom-{name}-p{p}")
+            for name, G in [
+                ("K4", lambda: k(4)),
+                ("C5", c5),
+                ("petersen", petersen),
+                ("KG62", lambda: usual_kneser(6, 2, 2)),
+            ]
+            for p in (2, 3)
+        ],
+        *[
+            pytest.param(lambda n=n, p=p: q_poset(n, p), id=f"q-{n}-{p}")
+            for n in range(4)
+            for p in (2, 3, 5)
+        ],
+        *[
+            pytest.param(lambda n=n: signed_vector_poset(n, 2), id=f"signed-{n}-2")
+            for n in range(4)
+        ],
+    ],
+)
+def test_covers_match_pairwise_definition(make):
+    P = make()
+    assert P.covers == tuple(
+        frozenset(j for j in P.above[i] if _covers(P, i, j)) for i in range(len(P))
+    )

@@ -24,6 +24,7 @@ from hyperchrom.gindex import (
 from hyperchrom.hypergraph import (
     BudgetExhausted,
     SearchBudget,
+    build_hypergraph,
     complete_hypergraph,
     kneser,
     usual_kneser,
@@ -36,6 +37,10 @@ def k(n):
 
 def petersen():
     return kneser(complete_hypergraph(5, 2), 2)
+
+
+def c5():
+    return build_hypergraph(5, [(i, i % 5 + 1) for i in range(1, 6)])
 
 
 def all_labeled_simplices(p, m):
@@ -106,6 +111,41 @@ def test_xind_hom_small(G, expect):
 def test_xind_hom_petersen():
     res = xind_exact(hom_poset(petersen(), 2, 2))
     assert res.value == 1
+
+
+# (poset, Xind): the cover CNF that _search_order_map builds and the
+# comparable-pair CNF of the reference encoder agree at every n up to the
+# value, and every map they return preserves the whole order
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        pytest.param(lambda: hom_poset(k(2), 2, 2), 0, id="hom-K2-p2"),
+        pytest.param(lambda: hom_poset(k(4), 2, 2), 2, id="hom-K4-p2"),
+        pytest.param(lambda: hom_poset(c5(), 2, 2), 1, id="hom-C5-p2"),
+        # the Petersen graph is KG(5,2)
+        pytest.param(lambda: hom_poset(petersen(), 2, 2), 1, id="hom-petersen-p2"),
+        pytest.param(lambda: hom_poset(k(4), 2, 3), 1, id="hom-K4-p3"),
+        *[
+            pytest.param(lambda n=n, p=p: q_poset(n, p), n, id=f"q-{n}-{p}")
+            for p in (2, 3, 5)
+            for n in range(4)
+        ],
+    ],
+)
+def test_cover_encoding_equisatisfiable(make, value, full_pair_order_map):
+    P = make()
+    for n in range(value + 1):
+        maps = [gindex._search_order_map(P, n), full_pair_order_map(P, n)]
+        assert [psi is not None for psi in maps] == [n == value] * 2
+        for psi in maps:
+            assert psi is None or check_order_map(P, psi, n)
+
+
+def test_cover_encoding_equisatisfiable_kg62_n0(full_pair_order_map):
+    # n = 1 is left out: the comparable-pair CNF takes about 6 s there
+    P = hom_poset(usual_kneser(6, 2, 2), 2, 2)
+    assert gindex._search_order_map(P, 0) is None
+    assert full_pair_order_map(P, 0) is None
 
 
 def test_ind_bounds_join_and_sigma():
@@ -196,6 +236,21 @@ def test_tampered_order_map_is_refused(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="internal error"):
         xind_exact(hom_poset(petersen(), 2, 2))
+
+
+def test_dropped_cover_is_refused(monkeypatch):
+    # Q_{1,2} needs the covers (e, 1) < (e + 1, 2): without them one level
+    # with one sign per orbit satisfies the CNF, which check_order_map
+    # must refuse instead of reporting Xind = 0
+    P = q_poset(1, 2)
+    same_sign = tuple(
+        frozenset(y for y in ups if P.labels[y][0] == P.labels[x][0])
+        for x, ups in enumerate(P.covers)
+    )
+    assert same_sign != P.covers
+    monkeypatch.setitem(vars(P), "covers", same_sign)
+    with pytest.raises(RuntimeError, match="internal error"):
+        xind_exact(P)
 
 
 def test_tampered_simplicial_map_is_refused(monkeypatch):

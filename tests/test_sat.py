@@ -190,15 +190,23 @@ def test_random_3sat_trajectory_pinned(seed, nodes, n_clauses, mask):
 
 
 # (n, variables, decisions, final len(solver.clauses), model bitmask) of the
-# order-map CNF of hom_poset(petersen, 2, 2) -> Q_{n,2}
+# order-map CNF of hom_poset(petersen, 2, 2) -> Q_{n,2} with one ORDER
+# constraint per comparable pair, as the reference encoder builds it
 PETERSEN_HOM_TRAJECTORIES = [
     (0, 55, 0, 240, None),
     (1, 110, 88, 610, 0x553607E7E00079E0000000000000),
 ]
 
+# the same for the cover CNF that gindex._search_order_map builds
+PETERSEN_HOM_COVER_TRAJECTORIES = [
+    (0, 55, 0, 180, None),
+    (1, 110, 72, 460, 0x557207E7E00028A0000000000000),
+]
 
-@pytest.mark.parametrize("n, n_vars, nodes, n_clauses, mask", PETERSEN_HOM_TRAJECTORIES)
-def test_petersen_hom_poset_trajectory_pinned(monkeypatch, n, n_vars, nodes, n_clauses, mask):
+
+def order_map_trajectory(monkeypatch, search, n):
+    """(variables, decisions, final len(solver.clauses), model bitmask) of
+    the one solve that ``search`` makes on hom_poset(petersen, 2, 2)."""
     solved = []
 
     class Recording(SatSolver):
@@ -210,9 +218,30 @@ def test_petersen_hom_poset_trajectory_pinned(monkeypatch, n, n_vars, nodes, n_c
     monkeypatch.setattr(gindex, "SatSolver", Recording)
     P = hom_poset(kneser(complete_hypergraph(5, 2), 2), 2, 2)
     budget = SearchBudget()
-    gindex._search_order_map(P, n, budget)
+    search(P, n, budget)
     ((s, model),) = solved
-    assert (s.n, budget.nodes, len(s.clauses), model_mask(model)) == (
+    return s.n, budget.nodes, len(s.clauses), model_mask(model)
+
+
+@pytest.mark.parametrize("n, n_vars, nodes, n_clauses, mask", PETERSEN_HOM_TRAJECTORIES)
+def test_petersen_hom_poset_trajectory_pinned(
+    monkeypatch, full_pair_order_map, n, n_vars, nodes, n_clauses, mask
+):
+    assert order_map_trajectory(monkeypatch, full_pair_order_map, n) == (
+        n_vars,
+        nodes,
+        n_clauses,
+        mask,
+    )
+
+
+@pytest.mark.parametrize(
+    "n, n_vars, nodes, n_clauses, mask", PETERSEN_HOM_COVER_TRAJECTORIES
+)
+def test_petersen_hom_poset_cover_trajectory_pinned(
+    monkeypatch, n, n_vars, nodes, n_clauses, mask
+):
+    assert order_map_trajectory(monkeypatch, gindex._search_order_map, n) == (
         n_vars,
         nodes,
         n_clauses,
