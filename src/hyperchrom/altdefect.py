@@ -159,6 +159,9 @@ def alt_sigma(
     return best
 
 
+_SAMPLED_ORDERINGS = 200  # random orderings alt_min tries in sampled mode
+
+
 @dataclass(frozen=True)
 class AltResult:
     value: int
@@ -170,7 +173,6 @@ def alt_min(
     H: Hypergraph,
     p: int,
     mode: str = "exact",
-    samples: int = 200,
     seed: int = 0,
     budget: Optional[SearchBudget] = None,
 ) -> AltResult:
@@ -178,7 +180,7 @@ def alt_min(
 
     Exact mode enumerates orderings whose prefixes are lexicographically
     minimal within their automorphism-group orbit.  Sampled mode tries
-    the identity and ``samples`` seeded random orderings, and reports an
+    the identity and ``_SAMPLED_ORDERINGS`` seeded random orderings, and reports an
     upper bound on alt_p(H).
     """
     n = H.n
@@ -200,7 +202,7 @@ def alt_min(
         rng = random.Random(seed)
         consider(tuple(range(1, n + 1)))
         base = list(range(1, n + 1))
-        for _ in range(samples):
+        for _ in range(_SAMPLED_ORDERINGS):
             rng.shuffle(base)
             consider(tuple(base))
         assert best is not None
@@ -252,12 +254,11 @@ def colorability_defect(H: Hypergraph, r: int) -> int:
     return H.n
 
 
-def signed_vectors(n: int, p: int, nonzero_only: bool = True) -> Iterator[SignedVector]:
-    """All vectors in (Z_p u {0})^n, optionally skipping the zero vector."""
+def signed_vectors(n: int, p: int) -> Iterator[SignedVector]:
+    """All nonzero vectors in (Z_p u {0})^n."""
     for entries in itertools.product(range(p + 1), repeat=n):
-        if nonzero_only and not any(entries):
-            continue
-        yield SignedVector(entries, p)
+        if any(entries):
+            yield SignedVector(entries, p)
 
 
 def signed_orbit_representative(X: SignedVector) -> SignedVector:

@@ -201,7 +201,7 @@ def _cmd_xind(args) -> int:
     else:
         raise _UsageError(f"unknown poset kind {args.poset!r}")
     res = gindex.xind_exact(P)
-    _emit(args, {"xind": res.value, "n_max": res.n_max}, f"Xind = {res}")
+    _emit(args, {"xind": res.value, "n_max": res.n_max}, f"Xind = {res.value}")
     return EXIT_OK
 
 
@@ -375,13 +375,7 @@ def _cmd_verify(args) -> int:
             if missing:
                 raise _UsageError(f"a zp-fan run needs integer {', '.join(missing)}")
             _check_prime(run["p"], args)
-    if args.threads > 1 and len(runs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_run_campaign_entry, runs))
-    else:
-        results = [_run_campaign_entry(run) for run in runs]
+    results = [_run_campaign_entry(run) for run in runs]
     bad = sum(0 if r["ok"] else 1 for r in results)
     payload = {"runs": results, "counterexamples_total": bad}
     lines = [
@@ -404,15 +398,13 @@ def _add_instance(sp):
     sp.add_argument("--file", help="hypergraph text file (v/e line format)")
     sp.add_argument(
         "--graph",
-        "--family",
-        dest="graph",
         help="builtin instance: K<n>, C<n>, petersen, K:<n>:<k>, "
         "KG:<n>:<k>, KG:<r>:<n>:<k>",
     )
 
 
 def _global_options(parser, suppress: bool) -> None:
-    """The four global flags, accepted before or after the subcommand."""
+    """The three global flags, accepted before or after the subcommand."""
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output", **kw
@@ -428,12 +420,6 @@ def _global_options(parser, suppress: bool) -> None:
         action="store_true",
         help="permit non-prime p (experimental; the theorems assume p prime)",
         **kw,
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="campaign workers",
-        **(kw if suppress else {"default": 1}),
     )
 
 

@@ -276,22 +276,28 @@ class _EquivariantCSP:
         return out
 
 
-def _poset_orbit_structure(P: GPoset):
-    """(reps, orbit_of, shift_of) with element = w^shift . rep."""
-    orbits, free = orbit_decomposition(P)
-    if not free:
-        raise ValueError("the poset is not free")
-    reps = [min(o) for o in orbits]
+def _orbit_maps(X, reps: list) -> tuple[dict, dict]:
+    """(orbit_of, shift_of) with element = w^shift . reps[orbit_of]."""
     orbit_of = {}
     shift_of = {}
     for a, rep in enumerate(reps):
         x = rep
-        for g in range(P.p):
+        for g in range(X.p):
             if x not in shift_of:
                 orbit_of[x] = a
                 shift_of[x] = g
-            x = P.act(1, x)
-    return reps, orbit_of, shift_of
+            x = X.act(1, x)
+    return orbit_of, shift_of
+
+
+def _poset_orbit_structure(P: GPoset):
+    """(reps, orbit_of, shift_of); each orbit is represented by its least
+    element index."""
+    orbits, free = orbit_decomposition(P)
+    if not free:
+        raise ValueError("the poset is not free")
+    reps = [min(o) for o in orbits]
+    return (reps, *_orbit_maps(P, reps))
 
 
 def _search_order_map(
@@ -344,38 +350,35 @@ def _require_checked(ok: bool, what: str) -> None:
 
 @dataclass(frozen=True)
 class XindResult:
-    """Exact cross-index with its witness map (element index -> (eps, level))."""
+    """Exact cross-index with its witness map (element index -> (eps, level));
+    n_max = height - 1 is the largest n the search would have tried."""
 
-    value: Optional[int]
+    value: int
     n_max: int
     witness: Optional[dict] = field(default=None, compare=False)
 
-    def __str__(self) -> str:
-        return str(self.value) if self.value is not None else f"> {self.n_max}"
 
-
-def xind_exact(
-    P: GPoset,
-    n_max: Optional[int] = None,
-    budget: Optional[SearchBudget] = None,
-) -> XindResult:
+def xind_exact(P: GPoset, budget: Optional[SearchBudget] = None) -> XindResult:
     """Least n with an order-preserving Z_p-map P -> Q_{n,p}.
 
     The empty poset has cross-index -1 by convention.  The map
-    x -> (sign, height of x) is always order preserving, so n_max
-    defaults to height(P) - 1 and the result is exact by default.  The
-    witness map has passed :func:`check_order_map`.
+    x -> (sign, height of x) is always order preserving, so the search
+    over n = 0 .. n_max = height(P) - 1 always ends in a value; a miss at
+    n_max is an internal error.  The witness map has passed
+    :func:`check_order_map`.
     """
     if len(P) == 0:
         return XindResult(value=-1, n_max=-1)
-    if n_max is None:
-        n_max = P.height() - 1
+    n_max = P.height() - 1
     for n in range(0, n_max + 1):
         psi = _search_order_map(P, n, budget)
         if psi is not None:
             _require_checked(check_order_map(P, psi, n), f"order map for n = {n}")
             return XindResult(value=n, n_max=n_max, witness=psi)
-    return XindResult(value=None, n_max=n_max)
+    raise RuntimeError(
+        f"internal error: no order map for n = {n_max} = height - 1,"
+        " where (sign, height) is one"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +411,13 @@ class IndexInterval:
 
 
 def _complex_orbit_structure(K: SimplicialGComplex):
+    """(reps, orbit_of, shift_of); each orbit is represented by its first
+    vertex in repr order."""
     orbits, free = orbit_decomposition(K)
     if not free:
         raise ValueError("the complex is not free")
     reps = [o[0] for o in orbits]
-    orbit_of = {}
-    shift_of = {}
-    for a, rep in enumerate(reps):
-        v = rep
-        for g in range(K.p):
-            if v not in shift_of:
-                orbit_of[v] = a
-                shift_of[v] = g
-            v = K.act(1, v)
-    return reps, orbit_of, shift_of
+    return (reps, *_orbit_maps(K, reps))
 
 
 def _search_simplicial_map(
@@ -548,20 +544,22 @@ def _provenance_lower(K: SimplicialGComplex) -> Optional[Certificate]:
     return None
 
 
+_MAX_SEARCH_VERTICES = 400  # ind_bounds searches no larger complex
+_MAX_EMBED_DIM = 6  # the largest m of an embedded Z_p^{*(m+1)}
+
+
 def ind_bounds(
     K: SimplicialGComplex,
     depth: int = 0,
-    n_max: Optional[int] = None,
-    map_search_limit: int = 400,
-    embed_cap: int = 6,
     budget: Optional[SearchBudget] = None,
 ) -> IndexInterval:
     """Certified interval for ind_{Z_p}(K); K must be free.
 
     Upper bounds: the dimension of a free complex, and explicit
     simplicial Z_p-maps sd^d(K) -> Z_p^{*(n+1)} for d <= depth (skipped
-    for complexes above ``map_search_limit`` vertices).  Lower bounds:
-    equivariant subcomplex embeddings of Z_p^{*(m+1)}, and inequalities
+    for complexes above ``_MAX_SEARCH_VERTICES`` vertices).  Lower bounds:
+    equivariant subcomplex embeddings of Z_p^{*(m+1)} for
+    m <= ``_MAX_EMBED_DIM``, and inequalities
     registered against the complex's provenance.  Every map and
     embedding certificate has passed :func:`check_simplicial_map` or
     :func:`check_join_embedding`.
@@ -581,8 +579,8 @@ def ind_bounds(
         lower = prov_cert.bound
         certificates.append(prov_cert)
 
-    if len(K.vertices) <= map_search_limit:
-        m, coords = _search_join_embedding(K, min(embed_cap, upper), budget)
+    if len(K.vertices) <= _MAX_SEARCH_VERTICES:
+        m, coords = _search_join_embedding(K, min(_MAX_EMBED_DIM, upper), budget)
         if m > lower:
             _require_checked(
                 check_join_embedding(K, coords, m), f"subcomplex embedding for m = {m}"
@@ -592,12 +590,11 @@ def ind_bounds(
 
         level = K
         for d in range(depth + 1):
-            if len(level.vertices) > map_search_limit:
+            if len(level.vertices) > _MAX_SEARCH_VERTICES:
                 break
             if d:
                 level = barycentric_subdivision(level)
-            hi = upper if n_max is None else min(upper, n_max)
-            for n in range(max(lower, 0), hi):
+            for n in range(max(lower, 0), upper):
                 phi = _search_simplicial_map(level, n, budget)
                 if phi is not None:
                     _require_checked(

@@ -129,9 +129,6 @@ class Coloring:
     def __call__(self, v: int) -> int:
         return self.assignment[v - 1]
 
-    def colors_of(self, vertices: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.assignment[v - 1] for v in vertices)
-
 
 @dataclass(frozen=True)
 class PartiteFamily:
@@ -543,7 +540,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if tok[0] == "v":
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate vertex count")
-            n = int(tok[1])
+            try:
+                (n,) = map(int, tok[1:])
+            except ValueError:  # no count, extra tokens, or not an integer
+                n = 0
+            if n < 1:
+                raise ValueError(f"line {lineno}: expected 'v <n>' with one integer n >= 1")
         elif tok[0] == "e":
             edges.append([int(x) for x in tok[1:]])
         else:

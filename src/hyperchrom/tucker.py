@@ -517,14 +517,13 @@ def lambda_from_coloring(
     p: int,
     c: Coloring,
     sigma: Optional[Ordering] = None,
-    order: Callable = colex_key,
 ) -> EquivariantLabeling:
     """The two-regime labeling from the colorful theorem's proof.
 
     Below the alternation threshold: (first nonzero entry, alt(X)).
     Above it: the level is the threshold plus the maximum color of an
     edge inside some sign class, and the sign is the class that is
-    maximal (under the total order) among those containing such an edge.
+    colex-maximal among those containing such an edge.
     """
     n = F.n
     K = kneser(F, p)
@@ -551,7 +550,7 @@ def lambda_from_coloring(
         cX = max(color_of[e] for es in inner.values() for e in es)
         best_eps = max(
             (eps for eps, es in inner.items() if any(color_of[e] == cX for e in es)),
-            key=lambda eps: order(X.sign_class(eps)),
+            key=lambda eps: colex_key(X.sign_class(eps)),
         )
         return (best_eps, threshold + cX)
 
@@ -680,19 +679,17 @@ class GammaResult:
 def gamma_collapse(
     K: SimplicialGComplex,
     alpha: int,
-    m: Optional[int] = None,
     l_cap: Optional[int] = None,
 ) -> GammaResult:
     """Construct Gamma on sd K and verify it is a simplicial Z_p-map.
 
-    K must live on Z_p x [m] with the rotation action (``m`` defaults to
-    the largest level present).  If ``l_cap`` is
-    given and some tau part has l(tau) > l_cap, that is the lemma's
-    conclusion firing: reported as a precondition verdict, not an error.
+    K must live on Z_p x [m] with the rotation action, m the largest
+    level present.  If ``l_cap`` is given and some tau part has
+    l(tau) > l_cap, that is the lemma's conclusion firing: reported as a
+    precondition verdict, not an error.
     """
     p = K.p
-    if m is None:
-        m = max(j for _, j in K.vertices)
+    m = max(j for _, j in K.vertices)
     simplices = sorted(K.simplices(), key=lambda s: (len(s), sorted(s)))
     mapping = {}
     for S in simplices:

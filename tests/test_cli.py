@@ -171,7 +171,7 @@ def test_verify_manifest_threads(capsys, tmp_path):
         )
     )
     code, out, _ = run(
-        capsys, "verify", "--manifest", str(manifest), "--threads", "2", "--json"
+        capsys, "verify", "--manifest", str(manifest), "--json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -203,6 +203,30 @@ def assert_usage_error(result):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chromatic", "--graph", "K4", "--threads", "2"],
+        ["chromatic", "--family", "petersen"],
+    ],
+    ids=["threads", "family"],
+)
+def test_removed_flags_exit_one(capsys, argv):
+    assert_usage_error(run(capsys, *argv))
+
+
+@pytest.mark.parametrize(
+    "text", ["v\n", "v -2\n", "v 0\n", "v 2 7\ne 1 2\n"],
+    ids=["no-count", "negative", "zero", "extra-token"],
+)
+def test_bad_vertex_line_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text("# a comment line\n" + text)
+    result = run(capsys, "chromatic", "--file", str(path))
+    assert_usage_error(result)
+    assert result[2].startswith("error: line 2: ")
 
 
 def test_xind_q_poset_without_n_exits_one(capsys):

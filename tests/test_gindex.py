@@ -238,6 +238,14 @@ def test_tampered_order_map_is_refused(monkeypatch):
         xind_exact(hom_poset(petersen(), 2, 2))
 
 
+def test_missing_order_map_at_height_is_internal_error(monkeypatch):
+    # (sign, height) is an order map for n = height - 1, so a search that
+    # finds none there is broken, not a poset whose Xind exceeds the range
+    monkeypatch.setattr(gindex, "_search_order_map", lambda P, n, budget=None: None)
+    with pytest.raises(RuntimeError, match="internal error"):
+        xind_exact(q_poset(2, 2))
+
+
 def test_dropped_cover_is_refused(monkeypatch):
     # Q_{1,2} needs the covers (e, 1) < (e + 1, 2): without them one level
     # with one sign per orbit satisfies the CNF, which check_order_map
