@@ -16,7 +16,9 @@ from .hypergraph import (
     BudgetExhausted,
     Hypergraph,
     SearchBudget,
-    _mask,
+    _closes_edge,
+    _edges_through,
+    _search_coloring,
     automorphisms,
     induced,
 )
@@ -118,17 +120,7 @@ def alt_sigma(
         raise ValueError("modulus must be at least 2")
     n = H.n
     sigma = sigma or Ordering(tuple(range(1, n + 1)))
-    edge_masks = H.edge_masks
-    edges_at = [[] for _ in range(n + 1)]  # vertex -> masks of edges containing it
-    for m in edge_masks:
-        mm = m
-        v = 1
-        while mm:
-            if mm & 1:
-                edges_at[v].append(m)
-            mm >>= 1
-            v += 1
-
+    through = _edges_through(H)
     budget = budget or SearchBudget()
     best = 0
     class_mask = [0] * (p + 1)
@@ -143,10 +135,10 @@ def alt_sigma(
         if i > n or alt + (n - i + 1) <= best:
             return
         v = sigma(i)
-        vbit = 1 << (v - 1)
+        vbit = 1 << v
         for eps in range(1, p + 1):
             new = class_mask[eps] | vbit
-            if any(em & ~new == 0 for em in edges_at[v]):
+            if _closes_edge(through[v], new):
                 continue
             class_mask[eps] = new
             rec(i + 1, eps, alt + (1 if eps != last else 0))
@@ -236,8 +228,6 @@ def _r_colorable(H: Hypergraph, keep: frozenset[int], r: int) -> bool:
     sub, _ = induced(H, keep)
     if not sub.edges:
         return True
-    from .hypergraph import _search_coloring
-
     return _search_coloring(sub, r, SearchBudget()) is not None
 
 

@@ -49,17 +49,18 @@ def _named_hypergraph(name: str) -> Hypergraph:
     KG:<r>:<n>:<k> (r-uniform Kneser hypergraph of K_n^k)."""
     if name == "petersen":
         return hypergraph.usual_kneser(5, 2, 2)
-    if name.startswith("KG:"):
-        nums = [int(x) for x in name.split(":")[1:]]
-        if len(nums) == 2:
-            return hypergraph.usual_kneser(nums[0], nums[1], 2)
-        if len(nums) == 3:
-            r, n, k = nums
+    if name.startswith(("KG:", "K:")):
+        try:
+            nums = [int(x) for x in name.split(":")[1:]]
+        except ValueError:
+            nums = []
+        if name.startswith("KG:") and len(nums) in (2, 3):
+            r, n, k = nums if len(nums) == 3 else (2, *nums)
             return hypergraph.usual_kneser(n, k, r)
-        raise ValueError(f"bad Kneser spec {name!r}")
-    if name.startswith("K:"):
-        n, k = (int(x) for x in name.split(":")[1:])
-        return hypergraph.complete_hypergraph(n, k)
+        if name.startswith("K:") and len(nums) == 2:
+            return hypergraph.complete_hypergraph(*nums)
+        kind = "Kneser" if name.startswith("KG:") else "complete hypergraph"
+        raise ValueError(f"bad {kind} spec {name!r}")
     if name.startswith("K") and name[1:].isdigit():
         return hypergraph.complete_hypergraph(int(name[1:]), 2)
     if name.startswith("C") and name[1:].isdigit():

@@ -23,13 +23,14 @@ from .hypergraph import (
     Hypergraph,
     PartiteFamily,
     _canonical_colorings,
-    _local_palettes,
+    _closes_edge,
+    _edges_through,
+    _local_optimum,
     _neighbour_masks,
     clique_number,
     independence_number,
     is_complete_partite,
     is_proper,
-    local_chromatic_number,
     neighborhood,
 )
 from .tucker import Verdict
@@ -403,19 +404,13 @@ def certify_local(H: Hypergraph, p: int) -> LocalReport:
         return LocalReport(False, detail="precondition unmet: omega(H) < p")
     t = xind_exact(hom_poset(H, r, p)).value + p
     formulas = local_lower_formulas(t, p, r)
-    chi_l = local_chromatic_number(H)
+    chi_l, optimal = _local_optimum(H)
     holds = chi_l >= formulas.bound
-    # white-box: re-run the proof's argument on one optimal coloring
-    cert = None
-    witness = None
-    palette = _local_palettes(H)
-    for c in proper_colorings_canonical(H, max_colors=H.n):
-        if palette(c.assignment) == chi_l:
-            found = find_colorful_balanced(H, c, p, t)
-            if isinstance(found, ColorfulWitness):
-                witness = found
-                cert = _reenact_cases(H, c, found, p, t)
-            break
+    # white-box: re-run the proof's argument on the first optimal coloring
+    c = Coloring(optimal, palette_size=H.n)
+    found = find_colorful_balanced(H, c, p, t)
+    witness = found if isinstance(found, ColorfulWitness) else None
+    cert = _reenact_cases(H, c, witness, p, t) if witness else None
     return LocalReport(
         True,
         t=t,
@@ -445,24 +440,26 @@ def random_proper_coloring(
 ) -> Coloring:
     """A seeded random proper coloring: random vertex order, uniform
     choice among the colors not closing a monochromatic edge."""
+    through = _edges_through(H)
     for _ in range(1000):
         order = list(H.vertices)
         rng.shuffle(order)
         assignment = [0] * (H.n + 1)
+        class_mask = [0] * (max_colors + 1)
         ok = True
         for v in order:
-            feasible = []
-            for col in range(1, max_colors + 1):
-                assignment[v] = col
-                if not any(
-                    all(assignment[u] == col for u in e) for e in H.edges if v in e
-                ):
-                    feasible.append(col)
-            assignment[v] = 0
+            vbit = 1 << v
+            feasible = [
+                col
+                for col in range(1, max_colors + 1)
+                if not _closes_edge(through[v], class_mask[col] | vbit)
+            ]
             if not feasible:
                 ok = False
                 break
-            assignment[v] = rng.choice(feasible)
+            col = rng.choice(feasible)
+            assignment[v] = col
+            class_mask[col] |= vbit
         if ok:
             return Coloring(tuple(assignment[1:]), palette_size=max_colors)
     raise ValueError(f"no proper coloring with {max_colors} colors found")

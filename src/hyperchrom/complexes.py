@@ -174,9 +174,6 @@ class GPoset:
     def lt(self, i: int, j: int) -> bool:
         return j in self.above[i]
 
-    def comparable(self, i: int, j: int) -> bool:
-        return i == j or self.lt(i, j) or self.lt(j, i)
-
     def is_free(self) -> bool:
         return all(
             all(self.act(g, i) != i for i in range(len(self.labels)))

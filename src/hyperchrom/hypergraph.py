@@ -1,8 +1,8 @@
 """Hypergraphs, colorings, and exact chromatic computations.
 
 Vertices are always 1..n.  Edges are canonical frozensets backed by
-bitmasks (bit i-1 set for vertex i), since subset tests dominate the
-search routines.
+bitmasks (bit v set for vertex v, in every mask), since subset tests
+dominate the search routines.
 """
 
 from __future__ import annotations
@@ -39,8 +39,30 @@ __all__ = [
 def _mask(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
-        m |= 1 << (v - 1)
+        m |= 1 << v
     return m
+
+
+def _edges_through(H: Hypergraph) -> list[list[int]]:
+    """Entry v lists the masks of the edges of H that contain v, as
+    :func:`_closes_edge` reads them."""
+    through: list[list[int]] = [[] for _ in range(H.n + 1)]
+    for e in H.edges:
+        m = _mask(e)
+        for v in e:
+            through[v].append(m)
+    return through
+
+
+def _closes_edge(through_v: list[int], class_mask: int) -> bool:
+    """The monochromatic-edge test of every coloring search: does a class
+    with no edge contain one once it gains v?  ``through_v`` is entry v of
+    :func:`_edges_through`, ``class_mask`` the class with v added.  (A loop:
+    ``any`` over a generator costs several times more on lists this short.)"""
+    for e in through_v:
+        if e & ~class_mask == 0:
+            return True
+    return False
 
 
 def _neighbour_masks(G: Hypergraph) -> list[int]:
@@ -51,17 +73,6 @@ def _neighbour_masks(G: Hypergraph) -> list[int]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
-
-
-def _unmask(mask: int) -> frozenset[int]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
 
 
 class BudgetExhausted(Exception):
@@ -98,10 +109,6 @@ class Hypergraph:
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    @property
-    def edge_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(e) for e in self.edges)
 
     def edge_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.edges)
@@ -250,12 +257,9 @@ def clique_number(H: Hypergraph) -> int:
 
 def independence_number(H: Hypergraph) -> int:
     """Largest vertex set inducing no edge."""
-    masks = H.edge_masks
+    through = _edges_through(H)
     n = H.n
     best = 0
-
-    def contains_edge(smask: int) -> bool:
-        return any(m & ~smask == 0 for m in masks)
 
     def extend(smask: int, size: int, v: int) -> None:
         nonlocal best
@@ -263,8 +267,8 @@ def independence_number(H: Hypergraph) -> int:
         for u in range(v, n + 1):
             if size + (n - u + 1) <= best:
                 return
-            cand = smask | (1 << (u - 1))
-            if not contains_edge(cand):
+            cand = smask | 1 << u
+            if not _closes_edge(through[u], cand):
                 extend(cand, size + 1, u + 1)
 
     extend(0, 0, 1)
@@ -305,13 +309,8 @@ def _search_coloring(H: Hypergraph, t: int, budget: SearchBudget) -> Optional[li
     vertex may only open one new color beyond those already used.
     """
     n = H.n
-    order = sorted(H.vertices, key=lambda v: (-H.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    # edges indexed by the latest vertex (in search order) they contain
-    edges_by_last: list[list[int]] = [[] for _ in range(n)]
-    for em in H.edge_masks:
-        last = max(pos[v] for v in _unmask(em))
-        edges_by_last[last].append(em)
+    through = _edges_through(H)
+    order = sorted(H.vertices, key=lambda v: (-len(through[v]), v))
 
     color_of = [0] * (n + 1)  # vertex -> color, 0 = unassigned
     class_mask = [0] * (t + 1)
@@ -321,16 +320,11 @@ def _search_coloring(H: Hypergraph, t: int, budget: SearchBudget) -> Optional[li
         if i == n:
             return True
         v = order[i]
-        vbit = 1 << (v - 1)
+        vbit = 1 << v
         cmax = min(t, used + 1)
         for c in range(1, cmax + 1):
             new_mask = class_mask[c] | vbit
-            ok = True
-            for em in edges_by_last[i]:
-                if em & ~new_mask == 0:  # edge fully inside color class c
-                    ok = False
-                    break
-            if not ok:
+            if _closes_edge(through[v], new_mask):
                 continue
             color_of[v] = c
             class_mask[c] = new_mask
@@ -379,28 +373,24 @@ def _canonical_colorings(
     """
     budget = budget or SearchBudget()
     n = H.n
-    masks = H.edge_masks
+    through = _edges_through(H)
     assignment = [0] * n
-
-    def closes_edge(i: int) -> bool:
-        budget.tick()
-        c = assignment[i]
-        cmask = 0
-        for v0 in range(i + 1):
-            if assignment[v0] == c:
-                cmask |= 1 << v0
-        return any(m & ~cmask == 0 for m in masks)
+    class_mask = [0] * (max_colors + 1)
 
     def rec(i: int, used: int):
         if i == n:
             yield tuple(assignment)
             return
+        vbit = 1 << (i + 1)
         for c in range(1, min(used + 1, max_colors) + 1):
-            assignment[i] = c
-            if closes_edge(i):
+            budget.tick()
+            new_mask = class_mask[c] | vbit
+            if _closes_edge(through[i + 1], new_mask):
                 continue
+            assignment[i] = c
+            class_mask[c] = new_mask
             yield from rec(i + 1, max(used, c))
-        assignment[i] = 0
+            class_mask[c] = new_mask & ~vbit
 
     yield from rec(0, 0)
 
@@ -446,14 +436,21 @@ def local_palette(H: Hypergraph, c: Coloring) -> int:
     return _local_palettes(H)(c.assignment)
 
 
-def local_chromatic_number(H: Hypergraph, budget: Optional[SearchBudget] = None) -> int:
-    """Exact local chromatic number by sweep over canonical colorings."""
+def _local_optimum(H: Hypergraph, budget: Optional[SearchBudget] = None) -> tuple[int, tuple]:
+    """The local chromatic number of H and the first canonical coloring
+    that attains it, from one sweep over canonical colorings."""
     if H.uniformity is None or not H.edges:
         raise ValueError("local chromatic number needs a uniform hypergraph with an edge")
-    best = min(map(_local_palettes(H), _canonical_colorings(H, H.n, budget)), default=None)
+    palette = _local_palettes(H)
+    best = min(_canonical_colorings(H, H.n, budget), key=palette, default=None)
     if best is None:
         raise ValueError("H has no proper coloring")
-    return best
+    return palette(best), best
+
+
+def local_chromatic_number(H: Hypergraph, budget: Optional[SearchBudget] = None) -> int:
+    """Exact local chromatic number by sweep over canonical colorings."""
+    return _local_optimum(H, budget)[0]
 
 
 def kneser(F: Hypergraph, r: int) -> Hypergraph:
@@ -531,7 +528,7 @@ def automorphisms(H: Hypergraph) -> list[tuple[int, ...]]:
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the line format: ``v <n>`` then ``e <v1> <v2> ...`` per edge."""
     n = None
-    edges = []
+    edges = []  # (line number, vertices) per 'e' line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -547,13 +544,21 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if n < 1:
                 raise ValueError(f"line {lineno}: expected 'v <n>' with one integer n >= 1")
         elif tok[0] == "e":
-            edges.append([int(x) for x in tok[1:]])
+            try:
+                edges.append((lineno, [int(x) for x in tok[1:]]))
+            except ValueError:
+                raise ValueError(f"line {lineno}: edge vertices must be integers") from None
         else:
             raise ValueError(f"line {lineno}: unknown directive {tok[0]!r}")
     if n is None:
         raise ValueError("missing 'v <n>' line")
+    for lineno, e in edges:  # checked here, as a 'v' line may follow them
+        if not e:
+            raise ValueError(f"line {lineno}: empty edge")
+        if not all(1 <= v <= n for v in e):
+            raise ValueError(f"line {lineno}: edge {sorted(set(e))} out of range 1..{n}")
     if edges:
-        return build_hypergraph(n, edges)
+        return build_hypergraph(n, [e for _, e in edges])
     return Hypergraph(n=n, edges=())
 
 

@@ -229,6 +229,29 @@ def test_bad_vertex_line_exits_one(capsys, tmp_path, text):
     assert result[2].startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["v 3\ne 1 x\n", "v 3\ne 1 9\n", "v 3\ne\n", "e 1 2\ne 2 9\nv 3\n"],
+    ids=["not-integer", "out-of-range", "empty", "before-vertex-line"],
+)
+def test_bad_edge_line_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text("# a comment line\n" + text)
+    result = run(capsys, "chromatic", "--file", str(path))
+    assert_usage_error(result)
+    assert result[2].startswith("error: line 3: ")
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [("K:5", "complete hypergraph"), ("K:5:x", "complete hypergraph"), ("KG:a:2", "Kneser")],
+)
+def test_malformed_graph_spec_names_itself(capsys, spec, kind):
+    result = run(capsys, "chromatic", "--graph", spec)
+    assert_usage_error(result)
+    assert f"bad {kind} spec '{spec}'" in result[2]
+
+
 def test_xind_q_poset_without_n_exits_one(capsys):
     assert_usage_error(run(capsys, "xind", "--poset", "q", "--p", "2"))
 
