@@ -153,6 +153,8 @@ def _cmd_alt(args) -> int:
 
 def _cmd_cd(args) -> int:
     F = _load(args)
+    if args.p < 2:
+        raise _UsageError(f"--p must be at least 2, got {args.p}")
     value = altdefect.colorability_defect(F, args.p)
     _emit(args, {"cd": value}, f"cd_{args.p} = {value}")
     return EXIT_OK

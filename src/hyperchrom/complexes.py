@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
-from .altdefect import SignedVector, alt_of_vector, signed_vectors
-from .hypergraph import Hypergraph, PartiteFamily, _neighbour_masks, is_complete_partite
+from .altdefect import alt_of_vector, signed_vectors
+from .hypergraph import Hypergraph, _mask, _neighbour_masks
 
 __all__ = [
     "SimplicialGComplex",
@@ -279,81 +279,207 @@ def _bit_indices(mask: int) -> list[int]:
 
 
 class _PartiteSearch:
-    """Shared machinery for enumerating complete r-uniform p-partite
-    part families of H (empty parts allowed).
+    """Enumerates the complete r-uniform p-partite part families of H:
+    p disjoint parts such that every r-set taking one vertex from each
+    of r distinct parts is an edge.
 
-    The search state is the family being built: ``parts`` as vertex
-    sets (they become the yielded frozensets), the same parts as
-    bitmasks in ``masks``, and their union ``used``.  At r = 2, slot
-    (eps, v) can join iff v is unused and every vertex in another part
-    is adjacent to v: ``(used & ~masks[eps]) & ~adj[v] == 0``.  Other r
-    test every transversal through v against the edge set.  The state is
-    shared, so an instance runs one enumeration at a time.
+    The search adds slots (eps, v), "v joins part eps", in the fixed
+    order of ``slots`` (vertex-major), depth first.  Its state is
+    bitmasks: bit v of ``masks[eps]`` for the parts.  Each yielded part
+    is ``frozenset(_bit_indices(mask))``, built in ascending vertex
+    order, so a family's repr is a function of its sets and not of the
+    search's history.
+
+    At r = 2 the recursion carries ``open_``: bit v of ``open_[eps]`` is
+    set iff v is unused and adjacent to every used vertex outside part
+    eps, i.e. iff slot (eps, v) is open.  Adding v to part eps clears v
+    from ``open_[eps]`` and intersects every other part's mask with v's
+    neighbourhood.  Other r test each slot the loop visits: every
+    transversal through v, drawn from ``members`` (each part's vertices
+    as single-bit masks), must be an edge.
+
+    Both prunes rest on one fact: a closed slot stays closed as the
+    family grows, and a branch only adds slots at or after its ``start``.
+    - :meth:`families` cuts a node when some empty part has no open slot
+      at or after ``start``: no family below it has every part nonempty.
+    - :meth:`maximal_families` (r = 2) cuts a node when an earlier slot
+      (eps, v), one the branch can no longer add, is open, and no open
+      later slot can close it.  A later slot closes it iff it uses v, or
+      puts a non-neighbour of v into a part other than eps.  Every leaf
+      below would keep (eps, v) open, so none is maximal.
+    Only branches that yield nothing are cut, so what is yielded comes
+    in the order of the unpruned search.  The state is shared, so an
+    instance runs one enumeration at a time.
     """
 
     def __init__(self, H: Hypergraph, p: int, r: int):
-        self.H = H
         self.p = p
         self.r = r
-        self.eset = H.edge_set()
-        self.adj = _neighbour_masks(H) if r == 2 else None
         self.slots = [(eps, v) for v in H.vertices for eps in range(p)]
-        self.parts: list[set[int]] = [set() for _ in range(p)]
         self.masks = [0] * p
-        self.used = 0
+        self._frozen: dict[int, frozenset[int]] = {}
+        if r == 2:
+            self.adj = _neighbour_masks(H)
+            # later[start][eps]: the vertices v whose slot (eps, v) is at
+            # or after index start
+            self.later = [[0] * p]
+            for eps, v in reversed(self.slots):
+                row = list(self.later[-1])
+                row[eps] |= 1 << v
+                self.later.append(row)
+            self.later.reverse()
+        else:
+            self.edges = frozenset(_mask(e) for e in H.edges)
+            self.members: list[list[int]] = [[] for _ in range(p)]
+            self.used = 0
 
-    def feasible_add(self, eps: int, v: int) -> bool:
-        if self.used >> v & 1:
+    def _family(self) -> tuple[frozenset[int], ...]:
+        """The current family; each part's frozenset is built once per
+        mask, in ascending vertex order."""
+        frozen = self._frozen
+        out = []
+        for m in self.masks:
+            part = frozen.get(m)
+            if part is None:
+                part = frozen[m] = frozenset(_bit_indices(m))
+            out.append(part)
+        return tuple(out)
+
+    def families(self) -> Iterator[tuple[frozenset[int], ...]]:
+        """Every family with all parts nonempty, exactly once, in the
+        depth-first order of the slots."""
+        if self.r != 2:
+            yield from self._tested_families()
+            return
+        p, slots, later, adj, masks = self.p, self.slots, self.later, self.adj, self.masks
+
+        def rec(start: int, open_: list[int]) -> Iterator[tuple[frozenset[int], ...]]:
+            if all(masks):
+                yield self._family()
+            elif not all(m or o & l for m, o, l in zip(masks, open_, later[start])):
+                return
+            for idx in range(start, len(slots)):
+                eps, v = slots[idx]
+                if open_[eps] >> v & 1:
+                    bit, av = 1 << v, adj[v]
+                    masks[eps] |= bit
+                    yield from rec(
+                        idx + 1,
+                        [o & ~bit if i == eps else o & av for i, o in enumerate(open_)],
+                    )
+                    masks[eps] ^= bit
+
+        yield from rec(0, [_mask(v for _, v in slots)] * p)
+
+    def maximal_families(self) -> Iterator[tuple[frozenset[int], ...]]:
+        """The families that no slot extends, in the depth-first order of
+        the slots."""
+        if self.r != 2:
+            yield from self._tested_maximal_families()
+            return
+        p, slots, later, adj, masks = self.p, self.slots, self.later, self.adj, self.masks
+
+        def stuck(open_: list[int], lat: list[int], later_open: list[int]) -> bool:
+            """Some earlier open slot stays open below this node."""
+            for eps in range(p):
+                early = open_[eps] & ~lat[eps]
+                if not early:
+                    continue
+                closers = 0
+                for i in range(p):
+                    if i != eps:
+                        closers |= later_open[i]
+                for v in _bit_indices(early):
+                    if not closers & ~adj[v]:
+                        return True
             return False
-        if self.r == 2:
-            return not (self.used & ~self.masks[eps]) & ~self.adj[v]
-        others = [part for i, part in enumerate(self.parts) if i != eps and part]
+
+        def rec(start: int, open_: list[int]) -> Iterator[tuple[frozenset[int], ...]]:
+            lat = later[start]
+            later_open = [o & l for o, l in zip(open_, lat)]
+            if stuck(open_, lat, later_open):
+                return
+            if not any(later_open):
+                # and, as the node is not stuck, no earlier slot is open
+                yield self._family()
+                return
+            for idx in range(start, len(slots)):
+                eps, v = slots[idx]
+                if later_open[eps] >> v & 1:
+                    bit, av = 1 << v, adj[v]
+                    masks[eps] |= bit
+                    yield from rec(
+                        idx + 1,
+                        [o & ~bit if i == eps else o & av for i, o in enumerate(open_)],
+                    )
+                    masks[eps] ^= bit
+
+        yield from rec(0, [_mask(v for _, v in slots)] * p)
+
+    def _joins(self, eps: int, v: int) -> bool:
+        """r >= 3: unused v can join part eps."""
+        others = [part for i, part in enumerate(self.members) if i != eps and part]
         if len(others) < self.r - 1:
             return True
+        bit = 1 << v
         for chosen in itertools.combinations(others, self.r - 1):
             for combo in itertools.product(*chosen):
-                if frozenset(combo) | {v} not in self.eset:
+                if sum(combo) | bit not in self.edges:
                     return False
         return True
 
     def _add(self, eps: int, v: int) -> None:
-        self.parts[eps].add(v)
-        self.masks[eps] |= 1 << v
-        self.used |= 1 << v
+        bit = 1 << v
+        self.masks[eps] |= bit
+        self.used |= bit
+        self.members[eps].append(bit)
 
     def _remove(self, eps: int, v: int) -> None:
-        self.parts[eps].remove(v)
-        self.masks[eps] ^= 1 << v
-        self.used ^= 1 << v
+        bit = 1 << v
+        self.masks[eps] ^= bit
+        self.used ^= bit
+        self.members[eps].pop()
 
-    def families(self) -> Iterator[tuple[frozenset[int], ...]]:
-        """Every feasible family exactly once (fixed slot order)."""
+    def _tested_families(self) -> Iterator[tuple[frozenset[int], ...]]:
+        slots, masks = self.slots, self.masks
 
         def rec(start: int) -> Iterator[tuple[frozenset[int], ...]]:
-            yield tuple(frozenset(part) for part in self.parts)
-            for idx in range(start, len(self.slots)):
-                eps, v = self.slots[idx]
-                if self.feasible_add(eps, v):
-                    self._add(eps, v)
-                    yield from rec(idx + 1)
-                    self._remove(eps, v)
+            used = self.used
+            opened = [
+                idx
+                for idx in range(start, len(slots))
+                if not used >> slots[idx][1] & 1 and self._joins(*slots[idx])
+            ]
+            if all(masks):
+                yield self._family()
+            else:
+                reachable = {slots[idx][0] for idx in opened}
+                if not all(m or eps in reachable for eps, m in enumerate(masks)):
+                    return
+            for idx in opened:
+                self._add(*slots[idx])
+                yield from rec(idx + 1)
+                self._remove(*slots[idx])
 
         yield from rec(0)
 
-    def maximal_families(self) -> Iterator[tuple[frozenset[int], ...]]:
+    def _tested_maximal_families(self) -> Iterator[tuple[frozenset[int], ...]]:
+        slots = self.slots
+
         def rec(start: int) -> Iterator[tuple[frozenset[int], ...]]:
+            used = self.used  # each child restores it
             extendable = False
-            for idx in range(start, len(self.slots)):
-                eps, v = self.slots[idx]
-                if self.feasible_add(eps, v):
+            for idx in range(start, len(slots)):
+                eps, v = slots[idx]
+                if not used >> v & 1 and self._joins(eps, v):
                     extendable = True
                     self._add(eps, v)
                     yield from rec(idx + 1)
                     self._remove(eps, v)
             if not extendable and not any(
-                self.feasible_add(eps, v) for eps, v in self.slots[:start]
+                not used >> v & 1 and self._joins(eps, v) for eps, v in slots[:start]
             ):
-                yield tuple(frozenset(part) for part in self.parts)
+                yield self._family()
 
         yield from rec(0)
 
@@ -383,13 +509,20 @@ def hom_poset(H: Hypergraph, r: int, p: int) -> GPoset:
     """Z_p-hom-complex Hom(K^r_p, H): ordered p-tuples of nonempty
     pairwise disjoint parts forming complete r-uniform p-partite
     subhypergraphs, ordered by componentwise inclusion, rotated by Z_p.
+
+    The elements come from :meth:`_PartiteSearch.families`, which cuts a
+    branch once some empty part has no open slot left: slots only close
+    as a family grows, so no family below has every part nonempty.  Each
+    label is a tuple of frozensets built in ascending vertex order, so
+    its repr is a function of its sets.  Elements are sorted by their
+    sorted parts.
     """
     if not _is_prime(p):
         raise ValueError("p must be prime")
     if H.uniformity is not None and H.uniformity != r:
         raise ValueError("H is not r-uniform")
     elements = sorted(
-        (fam for fam in _PartiteSearch(H, p, r).families() if all(fam)),
+        _PartiteSearch(H, p, r).families(),
         key=lambda fam: tuple(sorted(part) for part in fam),
     )
     index = {fam: i for i, fam in enumerate(elements)}
@@ -417,7 +550,10 @@ def order_complex(P: GPoset) -> SimplicialGComplex:
     """Delta P: vertices are poset elements, simplices are chains."""
     n = len(P)
     children = [sorted(P.covers[i]) for i in range(n)]
-    minimal = [i for i in range(n) if not any(i in P.above[j] for j in range(n))]
+    covered = set().union(*P.covers)
+    # an element above some element covers some element, so the minimal
+    # elements are those that cover nothing
+    minimal = [i for i in range(n) if i not in covered]
 
     maximal: list[frozenset[int]] = []
 

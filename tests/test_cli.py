@@ -252,6 +252,13 @@ def test_malformed_graph_spec_names_itself(capsys, spec, kind):
     assert f"bad {kind} spec '{spec}'" in result[2]
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_cd_small_p_names_p(capsys, p):
+    result = run(capsys, "cd", "--graph", "K:5:2", "--p", p)
+    assert_usage_error(result)
+    assert result[2].strip() == f"error: --p must be at least 2, got {p}"
+
+
 def test_xind_q_poset_without_n_exits_one(capsys):
     assert_usage_error(run(capsys, "xind", "--poset", "q", "--p", "2"))
 

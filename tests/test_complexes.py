@@ -18,6 +18,7 @@ from hyperchrom.complexes import (
     zp_join,
 )
 from hyperchrom.hypergraph import (
+    _neighbour_masks,
     build_hypergraph,
     complete_hypergraph,
     kneser,
@@ -207,6 +208,129 @@ def test_hom_poset_matches_pairwise_definition(H, p):
         assert list(P.above[i]) == list(ups)
 
 
+class _SlotSearch:
+    """The unpruned slot search that :class:`complexes._PartiteSearch`
+    replaces, kept as the reference for the order of what it yields: it
+    visits every feasible family, with empty parts, and re-tests every
+    earlier slot at each leaf of ``maximal_families``."""
+
+    def __init__(self, H, p, r):
+        self.p = p
+        self.r = r
+        self.eset = H.edge_set()
+        self.adj = _neighbour_masks(H) if r == 2 else None
+        self.slots = [(eps, v) for v in H.vertices for eps in range(p)]
+        self.parts = [set() for _ in range(p)]
+        self.masks = [0] * p
+        self.used = 0
+
+    def feasible_add(self, eps, v):
+        if self.used >> v & 1:
+            return False
+        if self.r == 2:
+            return not (self.used & ~self.masks[eps]) & ~self.adj[v]
+        others = [part for i, part in enumerate(self.parts) if i != eps and part]
+        if len(others) < self.r - 1:
+            return True
+        for chosen in itertools.combinations(others, self.r - 1):
+            for combo in itertools.product(*chosen):
+                if frozenset(combo) | {v} not in self.eset:
+                    return False
+        return True
+
+    def _add(self, eps, v):
+        self.parts[eps].add(v)
+        self.masks[eps] |= 1 << v
+        self.used |= 1 << v
+
+    def _remove(self, eps, v):
+        self.parts[eps].remove(v)
+        self.masks[eps] ^= 1 << v
+        self.used ^= 1 << v
+
+    def families(self):
+        def rec(start):
+            yield tuple(frozenset(part) for part in self.parts)
+            for idx in range(start, len(self.slots)):
+                eps, v = self.slots[idx]
+                if self.feasible_add(eps, v):
+                    self._add(eps, v)
+                    yield from rec(idx + 1)
+                    self._remove(eps, v)
+
+        yield from rec(0)
+
+    def maximal_families(self):
+        def rec(start):
+            extendable = False
+            for idx in range(start, len(self.slots)):
+                eps, v = self.slots[idx]
+                if self.feasible_add(eps, v):
+                    extendable = True
+                    self._add(eps, v)
+                    yield from rec(idx + 1)
+                    self._remove(eps, v)
+            if not extendable and not any(
+                self.feasible_add(eps, v) for eps, v in self.slots[:start]
+            ):
+                yield tuple(frozenset(part) for part in self.parts)
+
+        yield from rec(0)
+
+
+def _slot_search_hom(H, r, p):
+    """(labels, above, generator) of hom_poset, from the unpruned search."""
+    elements = sorted(
+        (fam for fam in _SlotSearch(H, p, r).families() if all(fam)),
+        key=lambda fam: tuple(sorted(part) for part in fam),
+    )
+    index = {fam: i for i, fam in enumerate(elements)}
+    holders = {}
+    for i, fam in enumerate(elements):
+        for eps, part in enumerate(fam):
+            for x in part:
+                holders.setdefault((eps, x), set()).add(i)
+    above = tuple(
+        frozenset(set.intersection(*(holders[eps, x] for eps, part in enumerate(fam) for x in part)) - {i})
+        for i, fam in enumerate(elements)
+    )
+    gen = tuple(index[fam[1:] + fam[:1]] for fam in elements)
+    return tuple(elements), above, gen
+
+
+def _slot_search_box(H, p):
+    return [
+        frozenset((eps, v) for eps in range(p) for v in fam[eps])
+        for fam in _SlotSearch(H, p, H.uniformity).maximal_families()
+    ]
+
+
+ORDER_CASES = PARTITE_CASES + [(usual_kneser(6, 2, 2), 2), (usual_kneser(6, 2, 2), 3)]
+
+
+@pytest.mark.parametrize("H, p", ORDER_CASES)
+def test_hom_poset_matches_slot_search(H, p):
+    P = hom_poset(H, H.uniformity, p)
+    assert (P.labels, P.above, P.generator) == _slot_search_hom(H, H.uniformity, p)
+
+
+@pytest.mark.parametrize("H, p", ORDER_CASES)
+def test_box_complex_matches_slot_search_in_order(H, p):
+    assert list(box_complex(H, p).maximal_simplices) == _slot_search_box(H, p)
+
+
+@pytest.mark.parametrize("H, p", ORDER_CASES)
+def test_hom_labels_are_a_function_of_their_sets(H, p):
+    for label in hom_poset(H, H.uniformity, p).labels:
+        assert repr(label) == repr(tuple(frozenset(sorted(part)) for part in label))
+
+
+def test_kg72_reach_pins():
+    K = usual_kneser(7, 2, 2)
+    assert len(box_complex(K, 3).maximal_simplices) == 969
+    assert len(hom_poset(K, 2, 3)) == 3150
+
+
 @pytest.mark.parametrize("H, p", PARTITE_CASES)
 def test_box_complex_matches_reference_enumeration(H, p):
     maximal = []
@@ -258,3 +382,41 @@ def test_covers_match_pairwise_definition(make):
     assert P.covers == tuple(
         frozenset(j for j in P.above[i] if _covers(P, i, j)) for i in range(len(P))
     )
+
+
+def _maximal_chains_from_pairwise_minima(P):
+    """Maximal chains of P as order_complex lists them, starting from the
+    minimal elements found by testing every pair."""
+    n = len(P)
+    minimal = [i for i in range(n) if not any(i in P.above[j] for j in range(n))]
+    chains = []
+
+    def rec(chain):
+        ups = sorted(P.covers[chain[-1]])
+        if not ups:
+            chains.append(frozenset(chain))
+        for j in ups:
+            rec(chain + [j])
+
+    for i in minimal:
+        rec([i])
+    return chains
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *[
+            pytest.param(lambda H=H, p=p: hom_poset(H, H.uniformity, p), id=f"hom-{i}")
+            for i, (H, p) in enumerate(ORDER_CASES)
+        ],
+        *[
+            pytest.param(lambda n=n, p=p: q_poset(n, p), id=f"q-{n}-{p}")
+            for n in range(4)
+            for p in (2, 3)
+        ],
+    ],
+)
+def test_order_complex_minima_match_pairwise_test(make):
+    P = make()
+    assert list(order_complex(P).maximal_simplices) == _maximal_chains_from_pairwise_minima(P)
