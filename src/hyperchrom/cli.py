@@ -151,10 +151,14 @@ def _cmd_alt(args) -> int:
     return EXIT_OK
 
 
+def _check_p_at_least_2(p: int) -> None:
+    if p < 2:
+        raise _UsageError(f"--p must be at least 2, got {p}")
+
+
 def _cmd_cd(args) -> int:
     F = _load(args)
-    if args.p < 2:
-        raise _UsageError(f"--p must be at least 2, got {args.p}")
+    _check_p_at_least_2(args.p)
     value = altdefect.colorability_defect(F, args.p)
     _emit(args, {"cd": value}, f"cd_{args.p} = {value}")
     return EXIT_OK
@@ -204,7 +208,11 @@ def _cmd_xind(args) -> int:
     else:
         raise _UsageError(f"unknown poset kind {args.poset!r}")
     res = gindex.xind_exact(P)
-    _emit(args, {"xind": res.value, "n_max": res.n_max}, f"Xind = {res.value}")
+    _emit(
+        args,
+        {"xind": res.value, "n_max": res.n_max, "core": res.core},
+        f"Xind = {res.value}",
+    )
     return EXIT_OK
 
 
@@ -227,6 +235,7 @@ def _cmd_indbounds(args) -> int:
 def _cmd_bounds(args) -> int:
     F = _load(args)
     r, p = args.r, args.p
+    _check_p_at_least_2(p)
     _check_prime(p, args)
     entries = []
 

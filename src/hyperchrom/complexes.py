@@ -10,6 +10,7 @@ is a subset test against that antichain.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,6 +28,7 @@ __all__ = [
     "barycentric_subdivision",
     "box_complex",
     "hom_poset",
+    "beat_core",
     "order_complex",
     "q_poset",
     "sigma_complex",
@@ -544,6 +546,87 @@ def hom_poset(H: Hypergraph, r: int, p: int) -> GPoset:
     return GPoset(
         tuple(elements), tuple(above), p, gen, provenance=("hom", H, r, p)
     )
+
+
+def beat_core(P: GPoset) -> tuple[GPoset, tuple[int, ...]]:
+    """The invariant core C of P left by removing beat points one Z_p-orbit
+    at a time, and an equivariant order-preserving retraction r: P -> C.
+
+    A beat point (Stong, Trans. AMS 1966) has exactly one upper cover or
+    exactly one lower cover y; sending it to y and fixing everything else
+    preserves the order.  The group acts by order automorphisms, so an
+    orbit is an antichain: g^k.x is a beat point with cover g^k.y, the
+    orbit never contains y, and removing the whole orbit with
+    r(g^k.x) = g^k.y keeps r equivariant.  The worklist is taken in
+    ascending index order, so the result is deterministic.  When z is
+    removed, each lower cover u of z gains each upper cover w of z unless
+    some remaining upper cover of u already lies below w.
+
+    C is the induced subposet on the remaining elements in ascending index
+    order (P itself when nothing is removed); ``r[x]`` is the index in C of
+    the element x retracts to, composed in reverse order of removal.
+    """
+    n = len(P)
+    above = P.above
+    up = [set(ups) for ups in P.covers]
+    down: list[set[int]] = [set() for _ in range(n)]
+    for x, ups in enumerate(up):
+        for y in ups:
+            down[y].add(x)
+    target: dict[int, int] = {}  # removed element -> its cover, in removal order
+    work = list(range(n))
+    queued = [True] * n
+
+    def push(x: int) -> None:
+        if not queued[x]:
+            queued[x] = True
+            heapq.heappush(work, x)
+
+    def remove(z: int) -> None:
+        ups, downs = up[z], down[z]
+        for u in downs:
+            up[u].discard(z)
+        for w in ups:
+            down[w].discard(z)
+        for u in downs:
+            for w in ups:
+                if not any(w in above[v] for v in up[u]):
+                    up[u].add(w)
+                    down[w].add(u)
+        for v in itertools.chain(downs, ups):
+            push(v)
+
+    while work:
+        x = heapq.heappop(work)
+        queued[x] = False
+        if x in target:
+            continue
+        if len(up[x]) == 1:
+            (y,) = up[x]
+        elif len(down[x]) == 1:
+            (y,) = down[x]
+        else:
+            continue
+        for k in range(P.p):
+            z = P.act(k, x)
+            if z not in target:
+                target[z] = P.act(k, y)
+                remove(z)
+
+    if not target:
+        return P, tuple(range(n))
+    core = [x for x in range(n) if x not in target]
+    index = {x: i for i, x in enumerate(core)}
+    for z in reversed(target):
+        index[z] = index[target[z]]
+    C = GPoset(
+        tuple(P.labels[x] for x in core),
+        tuple(frozenset(index[y] for y in above[x] if y not in target) for x in core),
+        P.p,
+        tuple(index[P.generator[x]] for x in core),
+        provenance=("beat_core", P),
+    )
+    return C, tuple(index[x] for x in range(n))
 
 
 def order_complex(P: GPoset) -> SimplicialGComplex:

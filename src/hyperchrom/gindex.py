@@ -11,6 +11,13 @@ the cover CNF has exactly the models of the CNF on all comparable pairs.
 The same search finds the simplicial maps behind the upper bounds on
 ind.
 
+Xind is decided on the beat-point core C of the poset P
+(:func:`.complexes.beat_core`), an invariant subposet with an equivariant
+order-preserving retraction r: P -> C, so Xind(C) = Xind(P): a map on P
+restricts to C, and a map phi on C gives the map phi o r on P.  An
+unsatisfiable n on C therefore refutes n on P, and every map found on C
+is lifted through r and re-checked on all of P.
+
 The simplicial index ind is not computable by finite search (failing
 to find a simplicial map at a bounded subdivision depth does not
 refute a continuous map), so it is reported as a certified interval:
@@ -29,6 +36,7 @@ from .complexes import (
     GPoset,
     SimplicialGComplex,
     barycentric_subdivision,
+    beat_core,
     orbit_decomposition,
 )
 from .hypergraph import Hypergraph, SearchBudget
@@ -351,10 +359,12 @@ def _require_checked(ok: bool, what: str) -> None:
 @dataclass(frozen=True)
 class XindResult:
     """Exact cross-index with its witness map (element index -> (eps, level));
-    n_max = height - 1 is the largest n the search would have tried."""
+    n_max = height - 1 is the largest n the search would have tried, and
+    core is the number of elements searched (the beat-point core)."""
 
     value: int
     n_max: int
+    core: int
     witness: Optional[dict] = field(default=None, compare=False)
 
 
@@ -364,17 +374,26 @@ def xind_exact(P: GPoset, budget: Optional[SearchBudget] = None) -> XindResult:
     The empty poset has cross-index -1 by convention.  The map
     x -> (sign, height of x) is always order preserving, so the search
     over n = 0 .. n_max = height(P) - 1 always ends in a value; a miss at
-    n_max is an internal error.  The witness map has passed
-    :func:`check_order_map`.
+    n_max is an internal error.
+
+    Each n is decided on the beat-point core C of P with its retraction
+    r: P -> C.  C is an invariant subposet, so a map on P restricts to C
+    and an unsatisfiable n on C refutes n on P.  A map phi found on C is
+    lifted to psi = phi o r, which is equivariant and order preserving
+    because r is; the witness psi has passed :func:`check_order_map` on
+    all of P, so a faulty core or retraction raises instead of returning
+    a wrong value.
     """
     if len(P) == 0:
-        return XindResult(value=-1, n_max=-1)
+        return XindResult(value=-1, n_max=-1, core=0)
     n_max = P.height() - 1
+    C, r = beat_core(P)
     for n in range(0, n_max + 1):
-        psi = _search_order_map(P, n, budget)
-        if psi is not None:
+        phi = _search_order_map(C, n, budget)
+        if phi is not None:
+            psi = {x: phi[r[x]] for x in range(len(P))}
             _require_checked(check_order_map(P, psi, n), f"order map for n = {n}")
-            return XindResult(value=n, n_max=n_max, witness=psi)
+            return XindResult(value=n, n_max=n_max, core=len(C), witness=psi)
     raise RuntimeError(
         f"internal error: no order map for n = {n_max} = height - 1,"
         " where (sign, height) is one"

@@ -24,3 +24,20 @@ def _full_pair_order_map(P, n, budget=None):
 @pytest.fixture
 def full_pair_order_map():
     return _full_pair_order_map
+
+
+def _uncored_xind(P, budget=None):
+    """Reference Xind: the n-loop of ``_search_order_map`` on all of P,
+    where ``xind_exact`` searches the beat-point core.  None if no n up
+    to height - 1 has a map."""
+    if len(P) == 0:
+        return -1
+    for n in range(P.height()):
+        if gindex._search_order_map(P, n, budget) is not None:
+            return n
+    return None
+
+
+@pytest.fixture
+def uncored_xind():
+    return _uncored_xind

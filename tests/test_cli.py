@@ -259,6 +259,19 @@ def test_cd_small_p_names_p(capsys, p):
     assert result[2].strip() == f"error: --p must be at least 2, got {p}"
 
 
+@pytest.mark.parametrize("argv", [["--p", "1", "--allow-nonprime"], ["--p", "1"], ["--p", "0"]])
+def test_bounds_small_p_names_p(capsys, argv):
+    result = run(capsys, "bounds", "--graph", "K:5:2", "--r", "2", *argv)
+    assert_usage_error(result)
+    assert result[2].strip() == f"error: --p must be at least 2, got {argv[1]}"
+
+
+def test_xind_json_reports_the_core(capsys):
+    code, out, _ = run(capsys, "xind", "--graph", "petersen", "--p", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {"xind": 1, "n_max": 2, "core": 50}
+
+
 def test_xind_q_poset_without_n_exits_one(capsys):
     assert_usage_error(run(capsys, "xind", "--poset", "q", "--p", "2"))
 

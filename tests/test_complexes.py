@@ -6,6 +6,7 @@ from hyperchrom.complexes import (
     GPoset,
     SimplicialGComplex,
     barycentric_subdivision,
+    beat_core,
     box_complex,
     hom_poset,
     join,
@@ -420,3 +421,79 @@ def _maximal_chains_from_pairwise_minima(P):
 def test_order_complex_minima_match_pairwise_test(make):
     P = make()
     assert list(order_complex(P).maximal_simplices) == _maximal_chains_from_pairwise_minima(P)
+
+
+def _is_beat_point(P, x):
+    return len(P.covers[x]) == 1 or sum(x in ups for ups in P.covers) == 1
+
+
+# (poset, size of its beat-point core)
+CORE_CASES = [
+    *[
+        pytest.param(lambda G=G, p=p: hom_poset(G(), 2, p), size, id=f"hom-{name}-p{p}")
+        for name, G, p, size in [
+            ("K4", lambda: k(4), 2, 50),
+            ("K4", lambda: k(4), 3, 60),
+            ("C5", c5, 2, 20),
+            ("C5", c5, 3, 0),
+            ("petersen", petersen, 2, 50),
+            ("petersen", petersen, 3, 0),
+            ("KG62", lambda: usual_kneser(6, 2, 2), 2, 260),
+            ("KG62", lambda: usual_kneser(6, 2, 2), 3, 90),
+            ("KG72", lambda: usual_kneser(7, 2, 2), 3, 1260),
+        ]
+    ],
+    *[
+        pytest.param(lambda n=n, p=p: q_poset(n, p), (n + 1) * p, id=f"q-{n}-{p}")
+        for n in range(4)
+        for p in (2, 3, 5)
+    ],
+]
+
+
+@pytest.mark.parametrize("make, size", CORE_CASES)
+def test_beat_core_is_an_equivariant_retract(make, size):
+    P = make()
+    C, r = beat_core(P)
+    assert len(C) == size
+    assert len(r) == len(P)
+    if len(C) == len(P):
+        assert C is P
+    # C is the induced invariant subposet, in ascending index order
+    index = {lab: x for x, lab in enumerate(P.labels)}
+    core = [index[lab] for lab in C.labels]
+    assert core == sorted(core)
+    assert C.above == tuple(
+        frozenset(core.index(y) for y in P.above[x] if y in core) for x in core
+    )
+    assert [core[c] for c in C.generator] == [P.generator[x] for x in core]
+    assert not any(_is_beat_point(C, c) for c in range(len(C)))
+    # r fixes C, commutes with the action and preserves the order
+    assert [r[x] for x in core] == list(range(len(C)))
+    for x in range(len(P)):
+        assert r[P.act(1, x)] == C.act(1, r[x])
+        for y in P.above[x]:
+            assert r[x] == r[y] or C.lt(r[x], r[y])
+
+
+def test_beat_core_composes_the_retraction():
+    # Q_{1,2} with orbits a < (0, 1) and b < a below it (and their images
+    # under w): (0, 1) has one lower cover a, so its orbit goes to a's; then
+    # a has one lower cover b, so (0, 1) ends at b through a
+    labels = ((0, 1), (1, 1), (0, 2), (1, 2), "a", "w.a", "b", "w.b")
+    above = (
+        frozenset({2, 3}),
+        frozenset({2, 3}),
+        frozenset(),
+        frozenset(),
+        frozenset({0, 2, 3}),
+        frozenset({1, 2, 3}),
+        frozenset({0, 2, 3, 4}),
+        frozenset({1, 2, 3, 5}),
+    )
+    P = GPoset(labels, above, 2, (1, 0, 3, 2, 5, 4, 7, 6))
+    C, r = beat_core(P)
+    assert C.labels == ((0, 2), (1, 2), "b", "w.b")
+    assert C.above == (frozenset(), frozenset(), frozenset({0, 1}), frozenset({0, 1}))
+    assert C.generator == (1, 0, 3, 2)
+    assert r == (2, 3, 0, 1, 2, 3, 2, 3)

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from hyperchrom import gindex
 from hyperchrom.complexes import (
+    GPoset,
     barycentric_subdivision,
+    beat_core,
     box_complex,
     hom_poset,
     q_poset,
@@ -281,3 +284,110 @@ def test_tampered_join_embedding_is_refused(monkeypatch):
     monkeypatch.setattr(gindex, "_search_join_embedding", dropping_a_coordinate)
     with pytest.raises(RuntimeError, match="internal error"):
         ind_bounds(zp_join(2, 2))
+
+
+# posets on which xind_exact searches the beat-point core; the core sizes
+# are pinned in tests/test_complexes.py
+CORED_CASES = [
+    *[
+        pytest.param(lambda G=G, p=p: hom_poset(G(), 2, p), id=f"hom-{name}-p{p}")
+        for name, G in [
+            ("K4", lambda: k(4)),
+            ("C5", c5),
+            ("petersen", petersen),
+            ("KG62", lambda: usual_kneser(6, 2, 2)),
+        ]
+        for p in (2, 3)
+    ],
+    *[
+        pytest.param(lambda n=n, p=p: q_poset(n, p), id=f"q-{n}-{p}")
+        for n in range(4)
+        for p in (2, 3)
+    ],
+]
+
+
+@pytest.mark.parametrize("make", CORED_CASES)
+def test_cored_xind_matches_uncored_search(make, uncored_xind):
+    P = make()
+    res = xind_exact(P)
+    assert res.value == uncored_xind(P)
+    assert res.core == len(beat_core(P)[0])
+    assert res.n_max == P.height() - 1
+    assert res.witness is None or check_order_map(P, res.witness, res.value)
+
+
+def _random_graphs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.6]
+        yield build_hypergraph(n, edges)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cored_xind_matches_uncored_search_on_random_graphs(p, uncored_xind):
+    shrunk = 0
+    for G in _random_graphs(seed=p, count=40):
+        P = hom_poset(G, 2, p)
+        res = xind_exact(P)
+        assert res.value == uncored_xind(P)
+        assert res.witness is None or check_order_map(P, res.witness, res.value)
+        shrunk += res.core < len(P)
+    assert shrunk  # the set reaches the retraction, not only bare posets
+
+
+def _tampered_core(tamper):
+    """``beat_core`` with its retraction passed through ``tamper(P, C, r)``."""
+
+    def tampered(P):
+        C, r = beat_core(P)
+        return C, tamper(P, C, list(r))
+
+    return tampered
+
+
+def _removed(P, C):
+    """The elements of P outside its core, in index order."""
+    core = set(C.labels)
+    return [x for x in range(len(P)) if P.labels[x] not in core]
+
+
+def _dropping_the_shift(P, C, r):
+    # the orbit of the first removed element all goes where it goes
+    x = _removed(P, C)[0]
+    for k in range(1, P.p):
+        r[P.act(k, x)] = r[x]
+    return r
+
+
+def _onto_an_incomparable_element(P, C, r):
+    # a removed x below its image c goes to w.c instead, which is not
+    # comparable to x; the orbit moves with it, so r stays equivariant, but
+    # x < c now gets c's level with another sign
+    index = {lab: y for y, lab in enumerate(P.labels)}
+    for x in _removed(P, C):
+        c = r[x]
+        moved = index[C.labels[C.act(1, c)]]
+        incomparable = moved not in P.above[x] and x not in P.above[moved]
+        if index[C.labels[c]] in P.above[x] and incomparable:
+            for k in range(P.p):
+                r[P.act(k, x)] = C.act(k + 1, c)
+            return r
+    raise AssertionError("no removed element fits the tampering")
+
+
+@pytest.mark.parametrize("tamper", [_dropping_the_shift, _onto_an_incomparable_element])
+def test_tampered_retraction_is_refused(monkeypatch, tamper):
+    monkeypatch.setattr(gindex, "beat_core", _tampered_core(tamper))
+    with pytest.raises(RuntimeError, match="internal error"):
+        xind_exact(hom_poset(petersen(), 2, 2))
+
+
+def test_non_free_poset_is_refused():
+    # the fixed element a is below the orbit {b, w.b}, whose elements are
+    # beat points that retract onto a: the core {a} is not free either
+    P = GPoset(("a", "b", "w.b"), (frozenset({1, 2}), frozenset(), frozenset()), 2, (0, 2, 1))
+    assert len(beat_core(P)[0]) == 1
+    with pytest.raises(ValueError, match="not free"):
+        xind_exact(P)
