@@ -24,9 +24,12 @@ from .hypergraph import (
     PartiteFamily,
     _canonical_colorings,
     _closes_edge,
+    _bit_indices,
     _edges_through,
+    _links,
     _local_optimum,
-    _neighbour_masks,
+    _mask,
+    _transversals,
     clique_number,
     independence_number,
     is_complete_partite,
@@ -88,50 +91,38 @@ def _search_parts(
     """Lexicographically least tuple of rainbow parts of the given sizes
     spanning a complete r-uniform partite subhypergraph, or None.
 
-    Part i is drawn in ``itertools.combinations`` order from a sorted
-    candidate list, and ``transversals_ok`` tests it against the parts
-    before it.  The candidates are the unused vertices; at r = 2 only
-    the common neighbours of every vertex already placed, since any
-    other vertex fails the edge test.  The combinations this skips hold
-    no witness, so the first hit is the lexicographically least one.
+    Part i is drawn in ``itertools.combinations`` order from the
+    ascending vertices of ``allowed``: the unused vertices w with S + w
+    an edge for every (r-1)-transversal S of the parts before it.  Each
+    placed part narrows ``allowed`` by ``links[S]`` (see
+    :func:`hypergraph._links`) for each new S, a vertex of the part with
+    an (r-2)-transversal of the earlier parts; in a graph, by each placed
+    vertex's neighbours.  The combinations skipped hold no witness, so
+    the first hit is the lexicographically least one.
     """
-    eset = H.edge_set()
-    verts = sorted(H.vertices)
-    adj = _neighbour_masks(H) if r == 2 else None
+    links = _links(H)
 
-    def transversals_ok(parts: list[frozenset[int]]) -> bool:
-        new = len(parts) - 1
-        if len(parts) < r or not parts[new]:
-            return True
-        pool = [p for p in parts[:new] if p]
-        for others in itertools.combinations(pool, r - 1):
-            for choice in itertools.product(parts[new], *others):
-                if frozenset(choice) not in eset:
-                    return False
-        return True
-
-    def rec(i: int, parts: list, allowed: int) -> Optional[tuple]:
+    def rec(i: int, masks: list[int], allowed: int) -> Optional[tuple]:
         if i == len(sizes):
-            return tuple(parts)
-        for combo in itertools.combinations(
-            [v for v in verts if allowed >> v & 1], sizes[i]
-        ):
+            return tuple(frozenset(_bit_indices(m)) for m in masks)
+        earlier = _transversals(masks, r - 2)
+        for combo in itertools.combinations(_bit_indices(allowed), sizes[i]):
             if len({c(v) for v in combo}) != len(combo):
                 continue
-            parts.append(frozenset(combo))
-            if transversals_ok(parts):
-                rest = allowed
-                for v in combo:
-                    rest &= ~(1 << v)
-                    if adj is not None:
-                        rest &= adj[v]
-                hit = rec(i + 1, parts, rest)
-                if hit:
-                    return hit
-            parts.pop()
+            rest = allowed
+            for v in combo:
+                bit = 1 << v
+                rest &= ~bit
+                for t in earlier:
+                    rest &= links.get(t | bit, 0)
+            masks.append(_mask(combo))
+            hit = rec(i + 1, masks, rest)
+            if hit:
+                return hit
+            masks.pop()
         return None
 
-    return rec(0, [], sum(1 << v for v in verts))
+    return rec(0, [], _mask(H.vertices))
 
 
 def find_colorful_balanced(
@@ -240,7 +231,7 @@ def zigzag_check(
         raise ValueError("t must be nonnegative")
     sa, sb = math.ceil(t / 2), t // 2
     verts = sorted(G.vertices)
-    adj = _neighbour_masks(G)
+    links = _links(G)
     everyone = sum(1 << v for v in verts)
 
     def alternates(A: tuple[int, ...], B: tuple[int, ...]) -> bool:
@@ -253,7 +244,7 @@ def zigzag_check(
             continue
         common = everyone
         for v in A:
-            common &= adj[v]
+            common &= links.get(1 << v, 0)
         rest = [v for v in verts if common >> v & 1]
         for B in itertools.combinations(rest, sb):
             colors_b = {c(v) for v in B}

@@ -13,11 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .altdefect import alt_of_vector, signed_vectors
-from .hypergraph import Hypergraph, _mask, _neighbour_masks
+from .hypergraph import Hypergraph, _bit_indices, _links, _mask, _neighbour_masks, _transversals
 
 __all__ = [
     "SimplicialGComplex",
@@ -270,16 +271,6 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _PartiteSearch:
     """Enumerates the complete r-uniform p-partite part families of H:
     p disjoint parts such that every r-set taking one vertex from each
@@ -292,23 +283,30 @@ class _PartiteSearch:
     order, so a family's repr is a function of its sets and not of the
     search's history.
 
-    At r = 2 the recursion carries ``open_``: bit v of ``open_[eps]`` is
-    set iff v is unused and adjacent to every used vertex outside part
-    eps, i.e. iff slot (eps, v) is open.  Adding v to part eps clears v
-    from ``open_[eps]`` and intersects every other part's mask with v's
-    neighbourhood.  Other r test each slot the loop visits: every
-    transversal through v, drawn from ``members`` (each part's vertices
-    as single-bit masks), must be an edge.
+    The recursion carries ``open_``: bit w of ``open_[i]`` is set iff w
+    is unused and slot (i, w) is open, i.e. every r-set taking w and one
+    vertex from each of r - 1 other nonempty parts is an edge.  One rule
+    keeps it for every r (:meth:`_narrow`): when v joins part eps, the
+    new such r-sets through w in part i are T + v + w, for T an
+    (r-2)-transversal of the nonempty parts other than i and eps, so
+    ``open_[i]`` is ANDed with ``links[T | v]`` (see
+    :func:`hypergraph._links`) for each T.  At r = 2, T is only the
+    empty set, and the step is one AND with v's neighbour mask.
 
     Both prunes rest on one fact: a closed slot stays closed as the
     family grows, and a branch only adds slots at or after its ``start``.
     - :meth:`families` cuts a node when some empty part has no open slot
       at or after ``start``: no family below it has every part nonempty.
-    - :meth:`maximal_families` (r = 2) cuts a node when an earlier slot
-      (eps, v), one the branch can no longer add, is open, and no open
-      later slot can close it.  A later slot closes it iff it uses v, or
-      puts a non-neighbour of v into a part other than eps.  Every leaf
-      below would keep (eps, v) open, so none is maximal.
+    - :meth:`maximal_families` cuts a node when an earlier slot (eps, v),
+      one the branch can no longer add, is open, and no open later slot
+      can close it.  A later slot closes it only if it uses v, or puts
+      into a part other than eps a vertex outside ``partners[v]`` (see
+      :func:`hypergraph._neighbour_masks`): only such a vertex shares a
+      non-edge r-set with v.  Every leaf below would keep (eps, v) open,
+      so none is maximal.  A closer outside every partner mask may close
+      any slot, so then no slot of the part is tested; on Kneser
+      hypergraphs with r >= 3, where no vertex has a partner, that is
+      every part with a closer.
     Only branches that yield nothing are cut, so what is yielded comes
     in the order of the unpruned search.  The state is shared, so an
     instance runs one enumeration at a time.
@@ -320,20 +318,32 @@ class _PartiteSearch:
         self.slots = [(eps, v) for v in H.vertices for eps in range(p)]
         self.masks = [0] * p
         self._frozen: dict[int, frozenset[int]] = {}
-        if r == 2:
-            self.adj = _neighbour_masks(H)
-            # later[start][eps]: the vertices v whose slot (eps, v) is at
-            # or after index start
-            self.later = [[0] * p]
-            for eps, v in reversed(self.slots):
-                row = list(self.later[-1])
-                row[eps] |= 1 << v
-                self.later.append(row)
-            self.later.reverse()
-        else:
-            self.edges = frozenset(_mask(e) for e in H.edges)
-            self.members: list[list[int]] = [[] for _ in range(p)]
-            self.used = 0
+        # _spread[eps]: each (r-2)-set J of parts other than eps, a getter of
+        # J's masks, and the parts whose open masks the links through J cut.
+        # Empty below r = 3: r = 2 takes the neighbour-mask step, and at
+        # r = 1 no slot closes another.
+        self._spread = [
+            [
+                (J, itemgetter(*J), tuple(i for i in range(p) if i != eps and i not in J))
+                for J in itertools.combinations([j for j in range(p) if j != eps], r - 2)
+            ]
+            for eps in range(p)
+        ] if r > 2 else [[]] * p
+        self._cuts: dict[tuple[int, ...], int] = {}
+        self.links = _links(H)
+        self.partners = _neighbour_masks(H)
+        # the vertices that are some vertex's partner
+        self.partnered = reduce(or_, self.partners)
+        # the open slots of the empty family: at r = 1, the edges
+        self.first = [_mask(H.vertices) if r > 1 else self.links.get(0, 0)] * p
+        # later[start][eps]: the vertices v whose slot (eps, v) is at or
+        # after index start
+        self.later = [[0] * p]
+        for eps, v in reversed(self.slots):
+            row = list(self.later[-1])
+            row[eps] |= 1 << v
+            self.later.append(row)
+        self.later.reverse()
 
     def _family(self) -> tuple[frozenset[int], ...]:
         """The current family; each part's frozenset is built once per
@@ -347,13 +357,32 @@ class _PartiteSearch:
             out.append(part)
         return tuple(out)
 
+    def _narrow(self, open_: list[int], eps: int, v: int) -> list[int]:
+        """``open_`` once v, already in ``masks[eps]``, has joined part eps.
+        The AND of ``links[T | v]`` over the transversals T of a set J of
+        parts depends only on v and J's masks, and is cached by them."""
+        bit = 1 << v
+        if self.r == 2:  # T is only the empty set
+            cut = self.partners[v]
+            return [o & ~bit if i == eps else o & cut for i, o in enumerate(open_)]
+        out = [o & ~bit for o in open_]
+        masks, cuts, links = self.masks, self._cuts, self.links
+        for J, masks_of, targets in self._spread[eps]:
+            key = (bit, masks_of(masks))
+            cut = cuts.get(key)
+            if cut is None:
+                cut = -1
+                for t in _transversals([masks[j] for j in J], len(J)):
+                    cut &= links.get(t | bit, 0)
+                cuts[key] = cut
+            for i in targets:
+                out[i] &= cut
+        return out
+
     def families(self) -> Iterator[tuple[frozenset[int], ...]]:
         """Every family with all parts nonempty, exactly once, in the
         depth-first order of the slots."""
-        if self.r != 2:
-            yield from self._tested_families()
-            return
-        p, slots, later, adj, masks = self.p, self.slots, self.later, self.adj, self.masks
+        slots, later, masks, narrow = self.slots, self.later, self.masks, self._narrow
 
         def rec(start: int, open_: list[int]) -> Iterator[tuple[frozenset[int], ...]]:
             if all(masks):
@@ -363,25 +392,19 @@ class _PartiteSearch:
             for idx in range(start, len(slots)):
                 eps, v = slots[idx]
                 if open_[eps] >> v & 1:
-                    bit, av = 1 << v, adj[v]
-                    masks[eps] |= bit
-                    yield from rec(
-                        idx + 1,
-                        [o & ~bit if i == eps else o & av for i, o in enumerate(open_)],
-                    )
-                    masks[eps] ^= bit
+                    masks[eps] |= 1 << v
+                    yield from rec(idx + 1, narrow(open_, eps, v))
+                    masks[eps] ^= 1 << v
 
-        yield from rec(0, [_mask(v for _, v in slots)] * p)
+        yield from rec(0, self.first)
 
     def maximal_families(self) -> Iterator[tuple[frozenset[int], ...]]:
         """The families that no slot extends, in the depth-first order of
         the slots."""
-        if self.r != 2:
-            yield from self._tested_maximal_families()
-            return
-        p, slots, later, adj, masks = self.p, self.slots, self.later, self.adj, self.masks
+        p, slots, later, masks, narrow = self.p, self.slots, self.later, self.masks, self._narrow
+        partners, partnered = self.partners, self.partnered
 
-        def stuck(open_: list[int], lat: list[int], later_open: list[int]) -> bool:
+        def stuck(open_: list[int], lat: list[int]) -> bool:
             """Some earlier open slot stays open below this node."""
             for eps in range(p):
                 early = open_[eps] & ~lat[eps]
@@ -390,100 +413,32 @@ class _PartiteSearch:
                 closers = 0
                 for i in range(p):
                     if i != eps:
-                        closers |= later_open[i]
+                        closers |= open_[i] & lat[i]
+                if not closers:
+                    return True
+                if closers & ~partnered:
+                    continue
                 for v in _bit_indices(early):
-                    if not closers & ~adj[v]:
+                    if not closers & ~partners[v]:
                         return True
             return False
 
         def rec(start: int, open_: list[int]) -> Iterator[tuple[frozenset[int], ...]]:
-            lat = later[start]
-            later_open = [o & l for o, l in zip(open_, lat)]
-            if stuck(open_, lat, later_open):
-                return
-            if not any(later_open):
+            """Below a node that is not stuck."""
+            if not any(o & l for o, l in zip(open_, later[start])):
                 # and, as the node is not stuck, no earlier slot is open
                 yield self._family()
                 return
             for idx in range(start, len(slots)):
                 eps, v = slots[idx]
-                if later_open[eps] >> v & 1:
-                    bit, av = 1 << v, adj[v]
-                    masks[eps] |= bit
-                    yield from rec(
-                        idx + 1,
-                        [o & ~bit if i == eps else o & av for i, o in enumerate(open_)],
-                    )
-                    masks[eps] ^= bit
+                if open_[eps] >> v & 1:
+                    masks[eps] |= 1 << v
+                    child = narrow(open_, eps, v)
+                    if not stuck(child, later[idx + 1]):
+                        yield from rec(idx + 1, child)
+                    masks[eps] ^= 1 << v
 
-        yield from rec(0, [_mask(v for _, v in slots)] * p)
-
-    def _joins(self, eps: int, v: int) -> bool:
-        """r >= 3: unused v can join part eps."""
-        others = [part for i, part in enumerate(self.members) if i != eps and part]
-        if len(others) < self.r - 1:
-            return True
-        bit = 1 << v
-        for chosen in itertools.combinations(others, self.r - 1):
-            for combo in itertools.product(*chosen):
-                if sum(combo) | bit not in self.edges:
-                    return False
-        return True
-
-    def _add(self, eps: int, v: int) -> None:
-        bit = 1 << v
-        self.masks[eps] |= bit
-        self.used |= bit
-        self.members[eps].append(bit)
-
-    def _remove(self, eps: int, v: int) -> None:
-        bit = 1 << v
-        self.masks[eps] ^= bit
-        self.used ^= bit
-        self.members[eps].pop()
-
-    def _tested_families(self) -> Iterator[tuple[frozenset[int], ...]]:
-        slots, masks = self.slots, self.masks
-
-        def rec(start: int) -> Iterator[tuple[frozenset[int], ...]]:
-            used = self.used
-            opened = [
-                idx
-                for idx in range(start, len(slots))
-                if not used >> slots[idx][1] & 1 and self._joins(*slots[idx])
-            ]
-            if all(masks):
-                yield self._family()
-            else:
-                reachable = {slots[idx][0] for idx in opened}
-                if not all(m or eps in reachable for eps, m in enumerate(masks)):
-                    return
-            for idx in opened:
-                self._add(*slots[idx])
-                yield from rec(idx + 1)
-                self._remove(*slots[idx])
-
-        yield from rec(0)
-
-    def _tested_maximal_families(self) -> Iterator[tuple[frozenset[int], ...]]:
-        slots = self.slots
-
-        def rec(start: int) -> Iterator[tuple[frozenset[int], ...]]:
-            used = self.used  # each child restores it
-            extendable = False
-            for idx in range(start, len(slots)):
-                eps, v = slots[idx]
-                if not used >> v & 1 and self._joins(eps, v):
-                    extendable = True
-                    self._add(eps, v)
-                    yield from rec(idx + 1)
-                    self._remove(eps, v)
-            if not extendable and not any(
-                not used >> v & 1 and self._joins(eps, v) for eps, v in slots[:start]
-            ):
-                yield self._family()
-
-        yield from rec(0)
+        yield from rec(0, self.first)  # no slot is earlier than the first
 
 
 def box_complex(H: Hypergraph, p: int) -> SimplicialGComplex:
@@ -512,16 +467,20 @@ def hom_poset(H: Hypergraph, r: int, p: int) -> GPoset:
     pairwise disjoint parts forming complete r-uniform p-partite
     subhypergraphs, ordered by componentwise inclusion, rotated by Z_p.
 
-    The elements come from :meth:`_PartiteSearch.families`, which cuts a
-    branch once some empty part has no open slot left: slots only close
-    as a family grows, so no family below has every part nonempty.  Each
-    label is a tuple of frozensets built in ascending vertex order, so
-    its repr is a function of its sets.  Elements are sorted by their
-    sorted parts.
+    The elements come from :meth:`_PartiteSearch.families`, which keeps,
+    for every r, one open-slot mask per part and narrows it by one rule:
+    when v joins a part, every other part's mask is ANDed with the link
+    of v plus each (r-2)-transversal of the remaining nonempty parts.
+    It cuts a branch once some empty part has no open slot left: slots
+    only close as a family grows, so no family below has every part
+    nonempty.  Each label is a tuple of frozensets built in ascending
+    vertex order, so its repr is a function of its sets.  Elements are
+    sorted by their sorted parts.  H must be r-uniform or edgeless;
+    mixed edge sizes raise ``ValueError``.
     """
     if not _is_prime(p):
         raise ValueError("p must be prime")
-    if H.uniformity is not None and H.uniformity != r:
+    if H.uniformity != r and (H.uniformity is not None or H.edges):
         raise ValueError("H is not r-uniform")
     elements = sorted(
         _PartiteSearch(H, p, r).families(),

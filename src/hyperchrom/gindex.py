@@ -583,6 +583,8 @@ def ind_bounds(
     embedding certificate has passed :func:`check_simplicial_map` or
     :func:`check_join_embedding`.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     if not K.is_free():
         raise ValueError("ind bounds require a free complex")
     certificates: list[Certificate] = []

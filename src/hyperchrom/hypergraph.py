@@ -7,9 +7,11 @@ dominate the search routines.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from math import inf
+from math import comb, inf
 from typing import Iterable, Optional
 
 __all__ = [
@@ -65,14 +67,53 @@ def _closes_edge(through_v: list[int], class_mask: int) -> bool:
     return False
 
 
-def _neighbour_masks(G: Hypergraph) -> list[int]:
-    """Bit u of entry v is set iff uv is an edge of the graph G."""
-    adj = [0] * (G.n + 1)
-    for e in G.edges:
-        u, v = e
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _neighbour_masks(H: Hypergraph) -> list[int]:
+    """Bit w of entry v is set iff v and w share an edge of the r-uniform
+    H and every r-set of vertices holding both is an edge: for a graph,
+    iff vw is an edge."""
+    adj = [0] * (H.n + 1)
+    count = Counter(pair for e in H.edges for pair in itertools.combinations(sorted(e), 2))
+    for (u, w), k in count.items():
+        if k == comb(H.n - 2, H.uniformity - 2):
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
     return adj
+
+
+@functools.lru_cache(maxsize=16)
+def _links(H: Hypergraph) -> dict[int, int]:
+    """Maps each mask S of an edge less one vertex to the mask of the
+    vertices w with S + w an edge; for a graph, S = {v} maps to the
+    neighbours of v.  An S on no edge has no entry.  Cached, as witness
+    searches read one hypergraph's table once per coloring: callers
+    must not change it."""
+    links: dict[int, int] = {}
+    for e in H.edges:
+        m = _mask(e)
+        for v in e:
+            bit = 1 << v
+            links[m ^ bit] = links.get(m ^ bit, 0) | bit
+    return links
+
+
+def _transversals(parts: Iterable[int], k: int) -> list[int]:
+    """The masks of the k-sets that take one vertex from each of k
+    distinct parts, the parts given as masks; ``[0]`` when k = 0."""
+    return [
+        _mask(t)
+        for chosen in itertools.combinations(parts, k)
+        for t in itertools.product(*map(_bit_indices, chosen))
+    ]
 
 
 class BudgetExhausted(Exception):

@@ -362,7 +362,12 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
     and a disagreement raises.  When n - alpha exceeds
     (p-1) max(m-alpha, 0) the lemma implies no admissible labeling
     exists; the report's ``regime_ok`` records that vacuity.
+    ``ValueError`` names a parameter below its least value.
     """
+    least_values = (("n", n, 1), ("m", m, 0), ("p", p, 2), ("alpha", alpha, 0))
+    for name, value, least in least_values:
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     order = _signed_order(n, p)
     R = len(order.reps)
     top = order.top if p == 2 else R

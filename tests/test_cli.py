@@ -352,3 +352,73 @@ def test_bad_witness_search_input_exits_one(capsys, argv, message):
     result = run(capsys, *argv, "--graph", "petersen")
     assert_usage_error(result)
     assert message in result[2]
+
+
+MIXED_SIZES = "v 4\ne 1 2\ne 2 3 4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hom", "--p", "2"], ["xind", "--r", "2", "--p", "2"]],
+    ids=["hom", "xind"],
+)
+def test_mixed_edge_sizes_exit_one(capsys, tmp_path, argv):
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED_SIZES)
+    result = run(capsys, *argv, "--file", str(path))
+    assert_usage_error(result)
+    assert result[2].strip() == "error: H is not r-uniform"
+
+
+def test_hom_of_an_edgeless_graph_is_empty(capsys, tmp_path):
+    path = tmp_path / "edgeless.txt"
+    path.write_text("v 3\n")
+    code, out, _ = run(capsys, "hom", "--p", "2", "--file", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["elements"] == 0
+
+
+BAD_FAN = [
+    ({"alpha": "-1"}, "alpha must be at least 0, got -1"),
+    ({"p": "0"}, "p must be at least 2, got 0"),
+    ({"p": "1"}, "p must be at least 2, got 1"),
+    ({"n": "-1"}, "n must be at least 1, got -1"),
+    ({"n": "0"}, "n must be at least 1, got 0"),
+    ({"m": "-1"}, "m must be at least 0, got -1"),
+]
+BAD_FAN_IDS = ["alpha", "p0", "p1", "n-negative", "n0", "m"]
+
+
+@pytest.mark.parametrize("change, message", BAD_FAN, ids=BAD_FAN_IDS)
+def test_verify_out_of_range_flag_exits_one(capsys, change, message):
+    flags = [x for key, v in {**FAN_FLAGS, **change}.items() for x in (f"--{key}", v)]
+    result = run(capsys, "verify", "--lemma", "zp-fan", *flags, "--allow-nonprime")
+    assert_usage_error(result)
+    assert result[2].strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("change, message", BAD_FAN, ids=BAD_FAN_IDS)
+def test_verify_out_of_range_manifest_entry_exits_one(capsys, tmp_path, change, message):
+    good = {key: int(v) for key, v in FAN_FLAGS.items()}
+    bad = {**good, **{key: int(v) for key, v in change.items()}}
+    manifest = tmp_path / "campaign.json"
+    manifest.write_text(
+        json.dumps({"runs": [{"lemma": "zp-fan", **good}, {"lemma": "zp-fan", **bad}]})
+    )
+    result = run(capsys, "verify", "--manifest", str(manifest), "--allow-nonprime")
+    assert_usage_error(result)
+    assert result[2].strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["indbounds", "--graph", "K2", "--p", "2"],
+        ["bounds", "--graph", "K:5:2", "--r", "2", "--p", "2"],
+    ],
+    ids=["indbounds", "bounds"],
+)
+def test_negative_depth_exits_one(capsys, argv):
+    result = run(capsys, *argv, "--depth", "-1")
+    assert_usage_error(result)
+    assert result[2].strip() == "error: depth must be at least 0, got -1"

@@ -435,3 +435,23 @@ def test_random_proper_coloring_deterministic_per_seed():
     from hyperchrom.hypergraph import is_proper
 
     assert is_proper(G, a)
+
+
+def test_search_parts_matches_reference_at_r4():
+    # 4-uniform, so each new transversal S joins a vertex to two earlier parts
+    H = build_hypergraph(
+        7,
+        [
+            e
+            for e in itertools.combinations(range(1, 8), 4)
+            if not {1, 2, 3} <= set(e) and not {5, 6} <= set(e)
+        ],
+    )
+    colorings = list(proper_colorings_canonical(H, 3))
+    outcomes = set()
+    for c in colorings[:: len(colorings) // 8]:
+        for sizes in ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (1, 1, 1, 1, 1), (3, 1, 1, 1)):
+            want = reference_search_parts(H, c, sizes, 4)
+            assert _search_parts(H, c, sizes, 4) == want, (c, sizes)
+            outcomes.add(want is not None)
+    assert outcomes == {True, False}

@@ -326,6 +326,47 @@ def test_hom_labels_are_a_function_of_their_sets(H, p):
         assert repr(label) == repr(tuple(frozenset(sorted(part)) for part in label))
 
 
+# A 4-uniform case, the first whose narrowing step ANDs links through
+# transversals T of two vertices, and K_6^3 at p = 3, where every two
+# vertices are partners and the maximality prune's partner test fires.
+GENERAL_STEP_CASES = [
+    (
+        build_hypergraph(
+            6, [e for e in itertools.combinations(range(1, 7), 4) if not {1, 2, 3} <= set(e)]
+        ),
+        5,
+    ),
+    (complete_hypergraph(6, 3), 3),
+]
+
+
+@pytest.mark.parametrize("H, p", GENERAL_STEP_CASES, ids=["r4-p5", "K63-p3"])
+def test_general_step_matches_the_references(H, p):
+    test_hom_poset_matches_pairwise_definition(H, p)
+    test_hom_poset_matches_slot_search(H, p)
+    test_box_complex_matches_slot_search_in_order(H, p)
+    test_box_complex_matches_reference_enumeration(H, p)
+    test_hom_labels_are_a_function_of_their_sets(H, p)
+
+
+def test_general_step_cases_have_partners():
+    r4, k63 = (H for H, _ in GENERAL_STEP_CASES)
+    assert _neighbour_masks(r4)[1:] == [0, 0, 0, 0b1100000, 0b1010000, 0b0110000]
+    assert _neighbour_masks(k63)[1:] == [0b1111110 ^ 1 << v for v in k63.vertices]
+
+
+def test_hom_poset_rejects_mixed_edge_sizes():
+    H = build_hypergraph(4, [(1, 2), (2, 3, 4)])
+    for r in (2, 3):
+        with pytest.raises(ValueError, match="H is not r-uniform"):
+            hom_poset(H, r, 2)
+
+
+def test_hom_poset_of_an_edgeless_hypergraph_is_empty():
+    for r in (2, 3):
+        assert len(hom_poset(build_hypergraph(4, []), r, r)) == 0
+
+
 def test_kg72_reach_pins():
     K = usual_kneser(7, 2, 2)
     assert len(box_complex(K, 3).maximal_simplices) == 969

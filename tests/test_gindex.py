@@ -391,3 +391,8 @@ def test_non_free_poset_is_refused():
     assert len(beat_core(P)[0]) == 1
     with pytest.raises(ValueError, match="not free"):
         xind_exact(P)
+
+
+def test_ind_bounds_rejects_negative_depth():
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        ind_bounds(zp_join(2, 2), depth=-1)

@@ -3,6 +3,9 @@ import math
 import pytest
 
 from hyperchrom.hypergraph import (
+    _links,
+    _neighbour_masks,
+    _transversals,
     Coloring,
     Hypergraph,
     build_hypergraph,
@@ -143,3 +146,32 @@ def test_is_complete_partite():
     assert not is_complete_partite(
         C4, PartiteFamily((frozenset({1, 2}), frozenset({3, 4}))), 2
     )
+
+
+def test_links_of_a_graph_are_its_neighbourhoods():
+    G = cycle(5)
+    links = _links(G)
+    assert links == {1 << v: m for v, m in enumerate(_neighbour_masks(G)) if m}
+    assert links[1 << 1] == 1 << 2 | 1 << 5
+
+
+def test_links_and_partners_at_r3():
+    H = build_hypergraph(4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+    links = _links(H)
+    assert links[1 << 1 | 1 << 2] == 1 << 3 | 1 << 4
+    assert links[1 << 2 | 1 << 3] == 1 << 1
+    assert 1 << 2 | 1 << 3 | 1 << 4 not in links
+    # 2 and 3 share {1, 2, 3}, but {2, 3, 4} is no edge
+    assert _neighbour_masks(H) == [0, 0b11100, 0b00010, 0b00010, 0b00010]
+
+
+def test_partners_are_zero_without_edges():
+    assert _neighbour_masks(build_hypergraph(3, [])) == [0, 0, 0, 0]
+    assert _neighbour_masks(usual_kneser(5, 2, 3)) == [0] * 11
+
+
+def test_transversals():
+    assert _transversals([0b110, 0b1000], 0) == [0]
+    assert sorted(_transversals([0b110, 0b1000], 1)) == [0b10, 0b100, 0b1000]
+    assert sorted(_transversals([0b110, 0, 0b1000], 2)) == [0b1010, 0b1100]
+    assert _transversals([0b110], 2) == []

@@ -429,3 +429,28 @@ def test_poset_chain_hom_k4_alternating_length3():
     assert len(r.elements) == 3
     signs = [e for e, _ in r.labels]
     assert all(a != b for a, b in zip(signs, signs[1:]))
+
+
+@pytest.mark.parametrize(
+    "params, name",
+    [
+        ((0, 2, 2, 0), "n"),
+        ((-1, 2, 2, 0), "n"),
+        ((2, -1, 2, 0), "m"),
+        ((2, 2, 1, 0), "p"),
+        ((2, 2, 0, 0), "p"),
+        ((2, 2, 2, -1), "alpha"),
+        ((2, 2, 3, -1), "alpha"),
+    ],
+)
+def test_fan_sweep_rejects_out_of_range_parameters(params, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        fan_sweep(*params)
+
+
+def test_fan_sweep_accepts_the_smallest_parameters():
+    # m = 0 leaves no level to assign, so no labeling
+    rep = fan_sweep(1, 0, 2, 0)
+    assert (rep.admissible, rep.ok) == (0, True)
+    rep = fan_sweep(1, 1, 2, 0)
+    assert (rep.admissible, rep.checked, rep.ok) == (2, 1, True)
