@@ -300,6 +300,8 @@ def _coloring(args, H: Hypergraph) -> Coloring:
     """The coloring a witness search runs on: with --seed, a seeded
     random proper coloring (--colors colors, default chi); otherwise
     the optimal coloring the chromatic search finds."""
+    if args.colors is not None and args.colors < 1:
+        raise _UsageError(f"--colors must be at least 1, got {args.colors}")
     if args.seed is not None and args.colors:
         rng = random.Random(args.seed)
         return colorful.random_proper_coloring(H, args.colors, rng)
@@ -540,6 +542,9 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetExhausted:
         print("error: search budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError as exc:
+        print(f"error: the input is too large for a recursive search ({exc})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

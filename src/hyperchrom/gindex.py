@@ -115,10 +115,6 @@ def value_l_bruteforce(tau: LabeledSimplex) -> int:
     return best
 
 
-def _rotate_subset(s: frozenset, k: int, p: int) -> frozenset:
-    return frozenset((x + k) % p for x in s)
-
-
 def canonical_sign(x, p: Optional[int] = None) -> int:
     """The sign functions s and s_0: the residue j such that the input
     equals w^j applied to the lexicographically least member of its
@@ -133,26 +129,19 @@ def canonical_sign(x, p: Optional[int] = None) -> int:
         nonzero = [s for s in x.sizes() if s]
         if not nonzero or len(set(nonzero)) != 1:
             raise ValueError("not in W: nonzero class sizes must be equal")
-        orbit = [x.rotate(k) for k in range(x.p)]
-        keys = [tuple(sorted(y.labels)) for y in orbit]
-        least = min(keys)
-        if keys.count(least) != 1:
-            raise ValueError("rotation orbit is not free")
-        # x = w^j . rep  where rep = x rotated by -j
-        return next(
-            j for j in range(x.p)
-            if tuple(sorted(x.rotate(-j).labels)) == least
-        )
-    if p is None:
-        raise ValueError("p is required for subset inputs")
-    s = frozenset(x)
-    if not s or len(s) >= p or not all(0 <= e < p for e in s):
-        raise ValueError("expected a proper nonempty subset of residues")
-    orbit_keys = [tuple(sorted(_rotate_subset(s, -j, p))) for j in range(p)]
-    least = min(orbit_keys)
-    if orbit_keys.count(least) != 1:
+        keys = [tuple(sorted(x.rotate(-j).labels)) for j in range(x.p)]
+    else:
+        if p is None:
+            raise ValueError("p is required for subset inputs")
+        s = frozenset(x)
+        if not s or len(s) >= p or not all(0 <= e < p for e in s):
+            raise ValueError("expected a proper nonempty subset of residues")
+        keys = [tuple(sorted((e - j) % p for e in s)) for j in range(p)]
+    # keys[j] is x rotated by -j, so x = w^j applied to it
+    least = min(keys)
+    if keys.count(least) != 1:
         raise ValueError("rotation orbit is not free")
-    return orbit_keys.index(least)
+    return keys.index(least)
 
 
 # ---------------------------------------------------------------------------
@@ -487,58 +476,46 @@ def _search_join_embedding(
     K: SimplicialGComplex, size_cap: int, budget: Optional[SearchBudget] = None
 ) -> tuple[int, Optional[tuple]]:
     """Largest m <= size_cap with an equivariant embedding of
-    Z_p^{*(m+1)} as a subcomplex of K; returns (m, coordinates).
+    Z_p^{*(m+1)} as a subcomplex of K; returns (m, representatives).
 
-    Coordinate i is a pair (vertex, twist): the join vertex (eps, i)
-    maps to w^{eps+twist} applied to that vertex.  The first twist is
-    pinned to 0.
+    Representative i spans copy i of Z_p: the join vertex (eps, i) maps
+    to w^eps applied to it.  A set of vertex orbits embeds iff every
+    transversal (one vertex from each orbit) is a simplex of K, so the
+    search is over sets of orbits, in ``_complex_orbit_structure`` order.
     """
-    p = K.p
-    reps, orbit_of, shift_of = _complex_orbit_structure(K)
+    reps = _complex_orbit_structure(K)[0]
+    orbits = [[K.act(eps, v) for eps in range(K.p)] for v in reps]
     budget = budget or SearchBudget()
 
     best: list = [(-1, None)]
 
-    def orbit_vertex(coord, eps: int):
-        v, t = coord
-        return K.act(eps + t, v)
+    def embeds(chosen: list) -> bool:
+        return all(
+            K.is_simplex(frozenset(t))
+            for t in itertools.product(*(orbits[a] for a in chosen))
+        )
 
-    def consistent(coords: list) -> bool:
-        k = len(coords)
-        for signs in itertools.product(range(p), repeat=k):
-            simplex = frozenset(
-                orbit_vertex(coords[i], signs[i]) for i in range(k)
-            )
-            if len(simplex) < k or not K.is_simplex(simplex):
-                return False
-        return True
-
-    def rec(coords: list, next_rep: int) -> None:
+    def rec(chosen: list) -> None:
         budget.tick()
-        if len(coords) - 1 > best[0][0]:
-            best[0] = (len(coords) - 1, tuple(coords))
-        if len(coords) >= size_cap + 1:
+        if len(chosen) - 1 > best[0][0]:
+            best[0] = (len(chosen) - 1, tuple(reps[a] for a in chosen))
+        if len(chosen) >= size_cap + 1:
             return
-        for a in range(next_rep, len(reps)):
-            twists = (0,) if not coords else tuple(range(p))
-            for t in twists:
-                cand = coords + [(reps[a], t)]
-                if consistent(cand):
-                    rec(cand, a + 1)
+        for a in range(chosen[-1] + 1 if chosen else 0, len(reps)):
+            if embeds(chosen + [a]):
+                rec(chosen + [a])
 
-    rec([], 0)
+    rec([])
     return best[0]
 
 
-def check_join_embedding(K: SimplicialGComplex, coords: Sequence, m: int) -> bool:
-    """Independently re-check that coords embed Z_p^{*(m+1)} into K."""
-    if len(coords) != m + 1:
+def check_join_embedding(K: SimplicialGComplex, reps: Sequence, m: int) -> bool:
+    """Independently re-check that the vertex orbits of reps embed
+    Z_p^{*(m+1)} into K."""
+    if len(reps) != m + 1:
         return False
-    p = K.p
-    for signs in itertools.product(range(p), repeat=m + 1):
-        simplex = frozenset(
-            K.act(signs[i] + coords[i][1], coords[i][0]) for i in range(m + 1)
-        )
+    for signs in itertools.product(range(K.p), repeat=m + 1):
+        simplex = frozenset(K.act(signs[i], reps[i]) for i in range(m + 1))
         if len(simplex) < m + 1 or not K.is_simplex(simplex):
             return False
     return True
@@ -601,13 +578,13 @@ def ind_bounds(
         certificates.append(prov_cert)
 
     if len(K.vertices) <= _MAX_SEARCH_VERTICES:
-        m, coords = _search_join_embedding(K, min(_MAX_EMBED_DIM, upper), budget)
+        m, reps = _search_join_embedding(K, min(_MAX_EMBED_DIM, upper), budget)
         if m > lower:
             _require_checked(
-                check_join_embedding(K, coords, m), f"subcomplex embedding for m = {m}"
+                check_join_embedding(K, reps, m), f"subcomplex embedding for m = {m}"
             )
             lower = m
-            certificates.append(Certificate("subcomplex-embedding", m, witness=coords))
+            certificates.append(Certificate("subcomplex-embedding", m, witness=reps))
 
         level = K
         for d in range(depth + 1):

@@ -449,21 +449,19 @@ def neighborhood(H: Hypergraph, X: frozenset[int]) -> frozenset[int]:
 def _local_palettes(H: Hypergraph):
     """The palette function of :func:`local_palette` for one hypergraph.
 
-    The closed neighbourhoods are built once; the returned function maps
-    a color assignment (vertex v has color ``assignment[v-1]``) to the
-    largest number of colors on one of them.
+    The closed neighbourhoods X + N(X), for X an edge less one vertex,
+    are built once from :func:`_links`; for a graph they are the closed
+    vertex neighbourhoods.  The returned function maps a color assignment
+    (vertex v has color ``assignment[v-1]``) to the largest number of
+    colors on one of them.
     """
-    if H.uniformity == 2:
-        closed = [{v} for v in H.vertices]
-        for e in H.edges:
-            for v in e:
-                closed[v - 1] |= e
-    else:
-        closed = {X | neighborhood(H, X) for e in H.edges for X in (e - {v} for v in e)}
-    sets = [tuple(v - 1 for v in S) for S in closed]
+    if H.uniformity is None or not H.edges:
+        raise ValueError("local chromatic number needs a uniform hypergraph with an edge")
+    closed = {S | N for S, N in _links(H).items()}
+    sets = [tuple(v - 1 for v in _bit_indices(S)) for S in closed]
 
     def palette(assignment) -> int:
-        return max((len({assignment[v] for v in S}) for S in sets), default=0)
+        return max(len({assignment[v] for v in S}) for S in sets)
 
     return palette
 
@@ -480,8 +478,6 @@ def local_palette(H: Hypergraph, c: Coloring) -> int:
 def _local_optimum(H: Hypergraph, budget: Optional[SearchBudget] = None) -> tuple[int, tuple]:
     """The local chromatic number of H and the first canonical coloring
     that attains it, from one sweep over canonical colorings."""
-    if H.uniformity is None or not H.edges:
-        raise ValueError("local chromatic number needs a uniform hypergraph with an edge")
     palette = _local_palettes(H)
     best = min(_canonical_colorings(H, H.n, budget), key=palette, default=None)
     if best is None:

@@ -422,3 +422,22 @@ def test_negative_depth_exits_one(capsys, argv):
     result = run(capsys, *argv, "--depth", "-1")
     assert_usage_error(result)
     assert result[2].strip() == "error: depth must be at least 0, got -1"
+
+
+@pytest.mark.parametrize("colors", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["colorful", "--p", "2", "--target", "2"], ["zigzag", "--t", "2"]],
+    ids=["colorful", "zigzag"],
+)
+def test_colors_below_one_exits_one(capsys, argv, colors):
+    result = run(capsys, *argv, "--graph", "petersen", "--seed", "7", "--colors", colors)
+    assert_usage_error(result)
+    assert result[2].strip() == f"error: --colors must be at least 1, got {colors}"
+
+
+def test_recursion_too_deep_exits_one(capsys):
+    # the coloring search recurses once per vertex
+    result = run(capsys, "chromatic", "--graph", "C1500")
+    assert_usage_error(result)
+    assert "Traceback" not in result[2]

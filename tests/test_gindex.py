@@ -17,6 +17,7 @@ from hyperchrom.complexes import (
 from hyperchrom.gindex import (
     LabeledSimplex,
     canonical_sign,
+    check_join_embedding,
     check_order_map,
     check_simplicial_map,
     ind_bounds,
@@ -396,3 +397,142 @@ def test_non_free_poset_is_refused():
 def test_ind_bounds_rejects_negative_depth():
     with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
         ind_bounds(zp_join(2, 2), depth=-1)
+
+
+def _reference_canonical_sign(x, p=None):
+    """The former sign function: rotation keys by +k for a simplex, with
+    a second pass for the index of the least one."""
+    if isinstance(x, LabeledSimplex):
+        nonzero = [s for s in x.sizes() if s]
+        if not nonzero or len(set(nonzero)) != 1:
+            raise ValueError("not in W: nonzero class sizes must be equal")
+        keys = [tuple(sorted(x.rotate(k).labels)) for k in range(x.p)]
+        least = min(keys)
+        if keys.count(least) != 1:
+            raise ValueError("rotation orbit is not free")
+        return next(
+            j for j in range(x.p) if tuple(sorted(x.rotate(-j).labels)) == least
+        )
+    if p is None:
+        raise ValueError("p is required for subset inputs")
+    s = frozenset(x)
+    if not s or len(s) >= p or not all(0 <= e < p for e in s):
+        raise ValueError("expected a proper nonempty subset of residues")
+    keys = [tuple(sorted(frozenset((e - j) % p for e in s))) for j in range(p)]
+    least = min(keys)
+    if keys.count(least) != 1:
+        raise ValueError("rotation orbit is not free")
+    return keys.index(least)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_canonical_sign_matches_reference():
+    in_w = 0
+    for p in (2, 3):
+        for m in (1, 2):
+            for tau in all_labeled_simplices(p, m):
+                got = _outcome(canonical_sign, tau)
+                assert got == _outcome(_reference_canonical_sign, tau)
+                in_w += isinstance(got, int)
+    assert in_w
+    for p in (2, 3, 5):
+        for size in range(0, p + 1):
+            for s in itertools.combinations(range(p), size):
+                assert _outcome(canonical_sign, s, p) == _outcome(_reference_canonical_sign, s, p)
+    for bad in [((0, 2), 2), ((0,), None)]:
+        assert _outcome(canonical_sign, *bad) == _outcome(_reference_canonical_sign, *bad)
+
+
+def _twist_search(K, size_cap):
+    """The former embedding search, over (vertex, twist) coordinates: the
+    join vertex (eps, i) maps to w^{eps + twist_i} applied to vertex i,
+    with the first twist pinned to 0."""
+    p = K.p
+    reps = gindex._complex_orbit_structure(K)[0]
+    best = [(-1, None)]
+
+    def consistent(coords):
+        k = len(coords)
+        for signs in itertools.product(range(p), repeat=k):
+            simplex = frozenset(K.act(signs[i] + t, v) for i, (v, t) in enumerate(coords))
+            if len(simplex) < k or not K.is_simplex(simplex):
+                return False
+        return True
+
+    def rec(coords, next_rep):
+        if len(coords) - 1 > best[0][0]:
+            best[0] = (len(coords) - 1, tuple(coords))
+        if len(coords) >= size_cap + 1:
+            return
+        for a in range(next_rep, len(reps)):
+            for t in (0,) if not coords else range(p):
+                cand = coords + [(reps[a], t)]
+                if consistent(cand):
+                    rec(cand, a + 1)
+
+    rec([], 0)
+    return best[0]
+
+
+def _embedding_cases():
+    for p, sizes, count in [(2, (3, 7), 30), (3, (3, 7), 30), (5, (3, 4), 12)]:
+        rng = random.Random(p)
+        for _ in range(count):
+            n = rng.randint(*sizes)
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.6]
+            if edges:  # an edgeless graph has no uniformity
+                yield box_complex(build_hypergraph(n, edges), p)
+    for p in (2, 3, 5):
+        yield box_complex(petersen(), p)
+        for n in range(1, 4):
+            yield zp_join(p, n)
+
+
+def test_orbit_embedding_matches_twist_search():
+    embedded = 0
+    for K in _embedding_cases():
+        cap = min(gindex._MAX_EMBED_DIM, K.dim)
+        m_ref, coords = _twist_search(K, cap)
+        m, reps = gindex._search_join_embedding(K, cap)
+        assert m == m_ref
+        if coords is None:
+            assert reps is None
+            continue
+        assert all(t == 0 for _, t in coords)
+        assert reps == tuple(v for v, _ in coords)
+        assert check_join_embedding(K, reps, m)
+        embedded += m >= 1
+    assert embedded
+
+
+def test_broken_orbit_embedding_is_refused(monkeypatch):
+    K = box_complex(c5(), 2)
+    search = gindex._search_join_embedding
+    m, reps = search(K, K.dim)
+    assert m == 1 and check_join_embedding(K, reps, m)
+    # (0, 3) is in neither orbit of reps, and the transversal {(0, 1), (1, 3)}
+    # of its orbit and reps[0]'s is no simplex: 1 and 3 are not adjacent
+    assert reps[0] == (0, 1) and (0, 3) not in {K.act(1, reps[1]), reps[1]}
+    assert K.is_simplex({(0, 1), (0, 3)}) and not K.is_simplex({(0, 1), (1, 3)})
+    broken = (*reps[:-1], (0, 3))
+    assert not check_join_embedding(K, broken, m)
+
+    monkeypatch.setattr(gindex, "_search_join_embedding", lambda K, cap, budget=None: (m, broken))
+    with pytest.raises(RuntimeError, match="internal error"):
+        ind_bounds(K)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: box_complex(petersen(), 2), lambda: box_complex(usual_kneser(6, 2, 2), 3)],
+    ids=["petersen-p2", "KG62-p3"],
+)
+def test_ind_bounds_honours_budget(make):
+    with pytest.raises(BudgetExhausted):
+        ind_bounds(make(), budget=SearchBudget(max_nodes=1))

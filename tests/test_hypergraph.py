@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
 from hyperchrom.hypergraph import (
     _links,
+    _local_palettes,
     _neighbour_masks,
     _transversals,
     Coloring,
@@ -175,3 +177,55 @@ def test_transversals():
     assert sorted(_transversals([0b110, 0b1000], 1)) == [0b10, 0b100, 0b1000]
     assert sorted(_transversals([0b110, 0, 0b1000], 2)) == [0b1010, 0b1100]
     assert _transversals([0b110], 2) == []
+
+
+def _reference_local_palettes(H):
+    """The former palette function: closed vertex neighbourhoods built
+    from the edge list for a graph, X + N(X) from ``neighborhood`` else."""
+    if H.uniformity == 2:
+        closed = [{v} for v in H.vertices]
+        for e in H.edges:
+            for v in e:
+                closed[v - 1] |= e
+    else:
+        closed = {X | neighborhood(H, X) for e in H.edges for X in (e - {v} for v in e)}
+    sets = [tuple(v - 1 for v in S) for S in closed]
+
+    def palette(assignment):
+        return max((len({assignment[v] for v in S}) for S in sets), default=0)
+
+    return palette
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        kneser(complete_hypergraph(4, 1), 2),
+        cycle(5),
+        usual_kneser(5, 2, 2),
+        complete_hypergraph(5, 3),
+        usual_kneser(6, 2, 3),
+    ],
+    ids=["K4", "C5", "petersen", "K5^3", "KG3(6,2)"],
+)
+def test_local_palettes_match_reference(H):
+    rng = random.Random(H.n)
+    palette, reference = _local_palettes(H), _reference_local_palettes(H)
+    for colors in (1, 2, 3, H.n):
+        for _ in range(50):
+            assignment = [rng.randint(1, colors) for _ in range(H.n)]
+            assert palette(assignment) == reference(assignment)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        build_hypergraph(3, []),
+        Hypergraph(3, (), uniformity=2),
+        build_hypergraph(4, [(1, 2), (2, 3, 4)]),
+    ],
+    ids=["edgeless", "edgeless-r2", "mixed"],
+)
+def test_local_palette_needs_a_uniform_hypergraph_with_an_edge(H):
+    with pytest.raises(ValueError, match="uniform hypergraph with an edge"):
+        local_palette(H, Coloring((1,) * H.n, palette_size=1))
