@@ -2,25 +2,27 @@
 
 Signed vectors live in (Z_p u {0})^n.  Entry 0 is the zero marker;
 entries 1..p stand for the group elements w^1..w^p, so the zero marker
-never collides with a group residue.
+never collides with a group residue.  ``_signed_order`` tables their
+containment order and rotation action once per (n, p).
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .hypergraph import (
-    BudgetExhausted,
     Hypergraph,
     SearchBudget,
+    _canonical_colorings,
     _closes_edge,
+    _degree_order,
     _edges_through,
-    _search_coloring,
     automorphisms,
-    induced,
 )
 
 __all__ = [
@@ -222,13 +224,11 @@ def alt_min(
 
 
 def _r_colorable(H: Hypergraph, keep: frozenset[int], r: int) -> bool:
-    """Is the induced subhypergraph on ``keep`` properly r-colorable?"""
-    if not keep:
-        return True
-    sub, _ = induced(H, keep)
-    if not sub.edges:
-        return True
-    return _search_coloring(sub, r, SearchBudget()) is not None
+    """Is the subhypergraph H induces on ``keep`` properly r-colorable?
+    Only the vertices of ``keep`` are colored, so only the edges inside
+    it can close."""
+    order = _degree_order(H, keep)
+    return next(_canonical_colorings(H, r, order=order), None) is not None
 
 
 def colorability_defect(H: Hypergraph, r: int) -> int:
@@ -254,3 +254,75 @@ def signed_vectors(n: int, p: int) -> Iterator[SignedVector]:
 def signed_orbit_representative(X: SignedVector) -> SignedVector:
     """Lexicographically least vector in the rotation orbit of X."""
     return min((X.rotate(k) for k in range(X.p)), key=lambda y: y.entries)
+
+
+@dataclass(frozen=True)
+class _SignedOrder:
+    """The nonzero signed vectors of (Z_p u {0})^n as integer tables.
+
+    Positions index ``vectors`` (lexicographic order).  Orbit
+    representative i is the lexicographically least member of its
+    rotation orbit; the vector ``reps[i].rotate(k)`` has code p*i + k.
+
+    The representatives run by support size, lexicographically within
+    one size, except that the largest layer (the support size with the
+    most representatives; ties go to the larger size) comes last, as
+    ``reps[top:]``.  Vectors of one support size are never strictly
+    comparable, so every layer is an antichain.  At n = 2 this is the
+    lexicographic order.
+    """
+
+    vectors: tuple  # SignedVector, lexicographic
+    sup: tuple  # sup[v]: positions of the strict supersets of vectors[v]
+    rot: tuple  # rot[v]: position of vectors[v].rotate(1)
+    reps: tuple  # positions of the orbit representatives
+    code: tuple  # code[v] = p*i + k when vectors[v] == vectors[reps[i]].rotate(k)
+    # (a, i, d), a < i: a comparable pair of members of orbits a and i
+    # carries one sign exactly when sign(i) - sign(a) = d (mod p)
+    pairs: tuple
+    cons: tuple  # cons[i]: (a, d) per (a, i, d) in pairs; d = -1 if d varies
+    top: int  # reps[top:]: the largest layer
+
+
+@functools.lru_cache(maxsize=16)
+def _signed_order(n: int, p: int) -> _SignedOrder:
+    vectors = tuple(signed_vectors(n, p))  # itertools.product: lexicographic
+    index = {X: v for v, X in enumerate(vectors)}
+    sup = tuple(
+        tuple(w for w, Y in enumerate(vectors) if w != v and X.issubset(Y))
+        for v, X in enumerate(vectors)
+    )
+    rot = tuple(index[X.rotate(1)] for X in vectors)
+    size = [len(X.support()) for X in vectors]
+    leaders = [v for v, X in enumerate(vectors) if X == signed_orbit_representative(X)]
+    layer = collections.Counter(size[v] for v in leaders)
+    last = max(layer, key=lambda z: (layer[z], z), default=0)
+    # stable, so lexicographic within one support size
+    reps = sorted(leaders, key=lambda v: (size[v] == last, size[v]))
+    code = [0] * len(vectors)
+    for i, v in enumerate(reps):
+        w = v
+        for k in range(p):
+            code[w] = p * i + k
+            w = rot[w]
+    pairs = set()
+    for x, ys in enumerate(sup):
+        for y in ys:
+            # rotation preserves support size, so x and y lie in distinct orbits
+            (a, ka), (i, ki) = sorted((divmod(code[x], p), divmod(code[y], p)))
+            pairs.add((a, i, (ka - ki) % p))
+    pairs = sorted(pairs)
+    offsets: list[dict] = [{} for _ in reps]
+    for a, i, d in pairs:
+        offsets[i][a] = d if offsets[i].get(a, d) == d else -1
+    top = len(reps) - layer[last]
+    return _SignedOrder(
+        vectors,
+        sup,
+        rot,
+        tuple(reps),
+        tuple(code),
+        tuple(pairs),
+        tuple(tuple(sorted(o.items())) for o in offsets),
+        top,
+    )

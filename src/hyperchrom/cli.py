@@ -87,6 +87,13 @@ def _check_prime(p: int, args) -> None:
         )
 
 
+def _require_prime(p: int, args) -> None:
+    """Reject a non-prime p for the Z_p-complex commands, which
+    --allow-nonprime cannot open."""
+    if not _is_prime(p):
+        raise _UsageError(f"p = {p} is not prime; {args.command} needs a prime p")
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, default=_json_default))
@@ -165,8 +172,8 @@ def _cmd_cd(args) -> int:
 
 
 def _cmd_box(args) -> int:
+    _require_prime(args.p, args)
     H = _load(args)
-    _check_prime(args.p, args)
     B = complexes.box_complex(H, args.p)
     text = complexes.complex_to_text(B)
     _emit(
@@ -184,8 +191,8 @@ def _cmd_box(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    _require_prime(args.p, args)
     H = _load(args)
-    _check_prime(args.p, args)
     P = complexes.hom_poset(H, args.r, args.p)
     text = complexes.poset_to_text(P)
     _emit(
@@ -197,11 +204,12 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_xind(args) -> int:
-    _check_prime(args.p, args)
     if args.poset == "hom":
+        _require_prime(args.p, args)
         H = _load(args)
         P = complexes.hom_poset(H, args.r, args.p)
     elif args.poset == "q":
+        _check_prime(args.p, args)
         if args.n is None:
             raise _UsageError("--poset q needs --n")
         P = complexes.q_poset(args.n, args.p)
@@ -217,8 +225,8 @@ def _cmd_xind(args) -> int:
 
 
 def _cmd_indbounds(args) -> int:
+    _require_prime(args.p, args)
     H = _load(args)
-    _check_prime(args.p, args)
     B = complexes.box_complex(H, args.p)
     iv = gindex.ind_bounds(B, depth=args.depth)
     payload = {
@@ -233,10 +241,10 @@ def _cmd_indbounds(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    F = _load(args)
     r, p = args.r, args.p
     _check_p_at_least_2(p)
-    _check_prime(p, args)
+    _require_prime(p, args)
+    F = _load(args)
     entries = []
 
     def add(name, value, lower=None, upper=None, note=""):

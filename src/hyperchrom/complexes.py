@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from operator import itemgetter, or_
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
-from .altdefect import alt_of_vector, signed_vectors
+from .altdefect import _signed_order, alt_of_vector
 from .hypergraph import Hypergraph, _bit_indices, _links, _mask, _neighbour_masks, _transversals
 
 __all__ = [
@@ -633,16 +633,16 @@ def q_poset(n: int, p: int) -> GPoset:
 
 def signed_vector_poset(n: int, p: int, min_alt: int = 1) -> GPoset:
     """Poset of nonzero signed vectors with alt >= min_alt, ordered by
-    classwise inclusion, with the rotation action."""
-    vecs = [X for X in signed_vectors(n, p) if alt_of_vector(X) >= min_alt]
-    vecs.sort(key=lambda X: X.entries)
-    idx = {X: i for i, X in enumerate(vecs)}
-    above = tuple(
-        frozenset(j for j, Y in enumerate(vecs) if Y != X and X.issubset(Y))
-        for X in vecs
-    )
-    gen = tuple(idx[X.rotate(1)] for X in vecs)
-    return GPoset(tuple(vecs), above, p, gen, provenance=("signed_poset", n, p, min_alt))
+    classwise inclusion, with the rotation action, read from the cached
+    signed-order table.  Alt never drops on a superset, so the kept
+    vectors form an up-set and keep all their supersets."""
+    order = _signed_order(n, p)
+    keep = [v for v, X in enumerate(order.vectors) if alt_of_vector(X) >= min_alt]
+    idx = {v: i for i, v in enumerate(keep)}
+    above = tuple(frozenset(idx[w] for w in order.sup[v]) for v in keep)
+    gen = tuple(idx[order.rot[v]] for v in keep)
+    labels = tuple(order.vectors[v] for v in keep)
+    return GPoset(labels, above, p, gen, provenance=("signed_poset", n, p, min_alt))
 
 
 def sigma_complex(n: int, p: int, alpha: int) -> SimplicialGComplex:

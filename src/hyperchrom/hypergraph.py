@@ -343,45 +343,16 @@ class ChromaticResult:
         return int(self.value)
 
 
-def _search_coloring(H: Hypergraph, t: int, budget: SearchBudget) -> Optional[list[int]]:
-    """Backtracking search for a proper t-coloring, or None.
-
-    Vertices are tried in decreasing-degree order (ties by index); a
-    vertex may only open one new color beyond those already used.
-    """
-    n = H.n
-    through = _edges_through(H)
-    order = sorted(H.vertices, key=lambda v: (-len(through[v]), v))
-
-    color_of = [0] * (n + 1)  # vertex -> color, 0 = unassigned
-    class_mask = [0] * (t + 1)
-
-    def place(i: int, used: int) -> bool:
-        budget.tick()
-        if i == n:
-            return True
-        v = order[i]
-        vbit = 1 << v
-        cmax = min(t, used + 1)
-        for c in range(1, cmax + 1):
-            new_mask = class_mask[c] | vbit
-            if _closes_edge(through[v], new_mask):
-                continue
-            color_of[v] = c
-            class_mask[c] = new_mask
-            if place(i + 1, max(used, c)):
-                return True
-            class_mask[c] = new_mask & ~vbit
-            color_of[v] = 0
-        return False
-
-    if place(0, 0):
-        return color_of[1:]
-    return None
+def _degree_order(H: Hypergraph, keep: frozenset[int]) -> list[int]:
+    """``keep`` in decreasing order of degree in the subhypergraph H
+    induces on it, ties by index."""
+    degree = Counter(v for e in H.edges if e <= keep for v in e)
+    return sorted(keep, key=lambda v: (-degree[v], v))
 
 
 def chromatic_number(H: Hypergraph, budget: Optional[SearchBudget] = None) -> ChromaticResult:
-    """Exact chromatic number by iterative-deepening exhaustive search.
+    """Exact chromatic number by iterative deepening: the first canonical
+    t-coloring in decreasing-degree order, for t = 1, 2, ...
 
     Returns ``inf`` when some edge is a singleton.  On budget
     exhaustion, returns the best bracket found, flagged inexact.
@@ -389,51 +360,66 @@ def chromatic_number(H: Hypergraph, budget: Optional[SearchBudget] = None) -> Ch
     if any(len(e) == 1 for e in H.edges):
         return ChromaticResult(value=inf, coloring=None, exact=True)
     budget = budget or SearchBudget()
+    order = _degree_order(H, frozenset(H.vertices))
     lower = 2 if H.edges else 1
     t = 1 if not H.edges else 2
     while True:
         try:
-            sol = _search_coloring(H, t, budget)
+            sol = next(_canonical_colorings(H, t, budget, order), None)
         except BudgetExhausted:
             return ChromaticResult(value=t, coloring=None, exact=False, lower=lower)
         if sol is not None:
-            col = Coloring(tuple(sol), palette_size=t)
+            col = Coloring(sol, palette_size=t)
             return ChromaticResult(value=t, coloring=col, exact=True, lower=t)
         lower = t + 1
         t += 1
 
 
 def _canonical_colorings(
-    H: Hypergraph, max_colors: int, budget: Optional[SearchBudget] = None
+    H: Hypergraph, max_colors: int, budget: Optional[SearchBudget] = None, order=None
 ):
     """Yield proper colorings of H canonical under color permutation.
 
-    Vertex i+1 may use at most one color beyond those used by 1..i.
+    The vertices are colored in ``order`` (default 1..n), each with at
+    most one color beyond those its predecessors use; a vertex outside
+    ``order`` keeps color 0, so an edge through it never closes.
     Prefixes that already close a monochromatic edge are pruned; each
-    such test is one node of ``budget``.
+    such test is one node of ``budget``.  The search keeps its own
+    stack: ``color[i]`` is position i's color (0 before its first try)
+    and ``used[i]`` the number of colors before position i.
     """
     budget = budget or SearchBudget()
-    n = H.n
+    order = list(H.vertices) if order is None else order
+    k = len(order)
     through = _edges_through(H)
-    assignment = [0] * n
-    class_mask = [0] * (max_colors + 1)
-
-    def rec(i: int, used: int):
-        if i == n:
+    assignment = [0] * H.n
+    class_mask = [0] * (max_colors + 1)  # slot 0 is scratch
+    color = [0] * k
+    used = [0] * (k + 1)
+    i = 0
+    while i >= 0:
+        if i == k:
             yield tuple(assignment)
-            return
-        vbit = 1 << (i + 1)
-        for c in range(1, min(used + 1, max_colors) + 1):
+            i -= 1
+            continue
+        v = order[i]
+        vbit = 1 << v
+        c = color[i]
+        class_mask[c] &= ~vbit
+        top = min(used[i] + 1, max_colors)
+        while c < top:
+            c += 1
             budget.tick()
             new_mask = class_mask[c] | vbit
-            if _closes_edge(through[i + 1], new_mask):
-                continue
-            assignment[i] = c
-            class_mask[c] = new_mask
-            yield from rec(i + 1, max(used, c))
-            class_mask[c] = new_mask & ~vbit
-
-    yield from rec(0, 0)
+            if not _closes_edge(through[v], new_mask):
+                class_mask[c] = new_mask
+                assignment[v - 1] = color[i] = c
+                used[i + 1] = max(used[i], c)
+                i += 1
+                break
+        else:
+            color[i] = 0
+            i -= 1
 
 
 def neighborhood(H: Hypergraph, X: frozenset[int]) -> frozenset[int]:

@@ -8,13 +8,12 @@ point is falsification-style testing of proved statements.
 
 The containment order of the signed vectors and the rotation action
 depend only on (n, p).  They are built once per (n, p) as integer
-tables, which the sweep and both labeling checkers read.
+tables (``altdefect._signed_order``), which the sweep and both labeling
+checkers read.
 """
 
 from __future__ import annotations
 
-import collections
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,9 +22,10 @@ from typing import Callable, Iterable, Optional
 from .altdefect import (
     Ordering,
     SignedVector,
+    _signed_order,
+    _SignedOrder,
     alt_of_vector,
     alt_sigma,
-    signed_orbit_representative,
     signed_vectors,
 )
 from .complexes import GPoset, SimplicialGComplex
@@ -124,78 +124,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class _SignedOrder:
-    """The nonzero signed vectors of (Z_p u {0})^n as integer tables.
-
-    Positions index ``vectors`` (lexicographic order).  Orbit
-    representative i is the lexicographically least member of its
-    rotation orbit; the vector ``reps[i].rotate(k)`` has code p*i + k.
-
-    The representatives run by support size, lexicographically within
-    one size, except that the largest layer (the support size with the
-    most representatives; ties go to the larger size) comes last, as
-    ``reps[top:]``.  Vectors of one support size are never strictly
-    comparable, so every layer is an antichain.  At n = 2 this is the
-    lexicographic order.
-    """
-
-    vectors: tuple  # SignedVector, lexicographic
-    sup: tuple  # sup[v]: positions of the strict supersets of vectors[v]
-    rot: tuple  # rot[v]: position of vectors[v].rotate(1)
-    reps: tuple  # positions of the orbit representatives
-    code: tuple  # code[v] = p*i + k when vectors[v] == vectors[reps[i]].rotate(k)
-    # (a, i, d), a < i: a comparable pair of members of orbits a and i
-    # carries one sign exactly when sign(i) - sign(a) = d (mod p)
-    pairs: tuple
-    cons: tuple  # cons[i]: (a, d) per (a, i, d) in pairs; d = -1 if d varies
-    top: int  # reps[top:]: the largest layer
-
-
-@functools.lru_cache(maxsize=16)
-def _signed_order(n: int, p: int) -> _SignedOrder:
-    vectors = tuple(signed_vectors(n, p))  # itertools.product: lexicographic
-    index = {X: v for v, X in enumerate(vectors)}
-    sup = tuple(
-        tuple(w for w, Y in enumerate(vectors) if w != v and X.issubset(Y))
-        for v, X in enumerate(vectors)
-    )
-    rot = tuple(index[X.rotate(1)] for X in vectors)
-    size = [len(X.support()) for X in vectors]
-    leaders = [v for v, X in enumerate(vectors) if X == signed_orbit_representative(X)]
-    layer = collections.Counter(size[v] for v in leaders)
-    last = max(layer, key=lambda z: (layer[z], z), default=0)
-    # stable, so lexicographic within one support size
-    reps = sorted(leaders, key=lambda v: (size[v] == last, size[v]))
-    code = [0] * len(vectors)
-    for i, v in enumerate(reps):
-        w = v
-        for k in range(p):
-            code[w] = p * i + k
-            w = rot[w]
-    pairs = set()
-    for x, ys in enumerate(sup):
-        for y in ys:
-            # rotation preserves support size, so x and y lie in distinct orbits
-            (a, ka), (i, ki) = sorted((divmod(code[x], p), divmod(code[y], p)))
-            pairs.add((a, i, (ka - ki) % p))
-    pairs = sorted(pairs)
-    offsets: list[dict] = [{} for _ in reps]
-    for a, i, d in pairs:
-        offsets[i][a] = d if offsets[i].get(a, d) == d else -1
-    top = len(reps) - layer[last]
-    return _SignedOrder(
-        vectors,
-        sup,
-        rot,
-        tuple(reps),
-        tuple(code),
-        tuple(pairs),
-        tuple(tuple(sorted(o.items())) for o in offsets),
-        top,
-    )
 
 
 def check_labeling_conditions(lab: EquivariantLabeling, alpha: int) -> Verdict:

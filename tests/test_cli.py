@@ -437,7 +437,43 @@ def test_colors_below_one_exits_one(capsys, argv, colors):
 
 
 def test_recursion_too_deep_exits_one(capsys):
-    # the coloring search recurses once per vertex
-    result = run(capsys, "chromatic", "--graph", "C1500")
+    # alt_sigma recurses once per vertex
+    result = run(capsys, "alt", "--graph", "C1200", "--p", "2", "--mode", "sampled")
     assert_usage_error(result)
     assert "Traceback" not in result[2]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(["chromatic", "--graph", "C1500"], "chi = 2"), (["cd", "--graph", "C1501", "--p", "2"], "cd_2 = 1")],
+    ids=["chromatic", "cd"],
+)
+def test_long_cycles_answer(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want + "\n", "")
+
+
+PRIME_ONLY = [
+    ["box", "--graph", "K4"],
+    ["hom", "--graph", "K4"],
+    ["xind", "--poset", "hom", "--graph", "K4"],
+    ["indbounds", "--graph", "K4"],
+    ["bounds", "--graph", "K:5:2", "--r", "2"],
+]
+
+
+@pytest.mark.parametrize("flag", [[], ["--allow-nonprime"]], ids=["plain", "flag"])
+@pytest.mark.parametrize("argv", PRIME_ONLY, ids=["box", "hom", "xind-hom", "indbounds", "bounds"])
+def test_prime_only_commands_reject_nonprime_p(capsys, monkeypatch, argv, flag):
+    import hyperchrom.cli
+
+    monkeypatch.setattr(hyperchrom.cli, "_load", lambda args: pytest.fail("read the instance"))
+    result = run(capsys, *argv, "--p", "4", *flag)
+    assert_usage_error(result)
+    assert result[2].strip() == f"error: p = 4 is not prime; {argv[0]} needs a prime p"
+
+
+def test_xind_q_poset_keeps_the_nonprime_opt_in(capsys):
+    argv = ("xind", "--poset", "q", "--n", "2", "--p", "4")
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "--allow-nonprime" in err
+    assert run(capsys, *argv, "--allow-nonprime") == (0, "Xind = 2\n", "")

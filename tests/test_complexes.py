@@ -538,3 +538,38 @@ def test_beat_core_composes_the_retraction():
     assert C.above == (frozenset(), frozenset(), frozenset({0, 1}), frozenset({0, 1}))
     assert C.generator == (1, 0, 3, 2)
     assert r == (2, 3, 0, 1, 2, 3, 2, 3)
+
+
+def _reference_signed_vector_poset(n, p, min_alt):
+    """(labels, above, generator) from the definition: the vectors with
+    alt >= min_alt in lexicographic order, each below the vectors that
+    agree with it on its support, without the cached table."""
+    from hyperchrom.altdefect import SignedVector, alt_of_vector
+
+    vecs = [
+        SignedVector(e, p)
+        for e in itertools.product(range(p + 1), repeat=n)
+        if any(e) and alt_of_vector(SignedVector(e, p)) >= min_alt
+    ]
+    idx = {X.entries: i for i, X in enumerate(vecs)}
+    above = []
+    for X in vecs:
+        zeros = [i for i, x in enumerate(X.entries) if x == 0]
+        ups = set()
+        for fill in itertools.product(range(p + 1), repeat=len(zeros)):
+            entries = list(X.entries)
+            for i, x in zip(zeros, fill):
+                entries[i] = x
+            if tuple(entries) != X.entries and tuple(entries) in idx:
+                ups.add(idx[tuple(entries)])
+        above.append(frozenset(ups))
+    gen = tuple(idx[X.rotate(1).entries] for X in vecs)
+    return tuple(vecs), tuple(above), gen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_vector_poset_matches_definition(n, p):
+    for min_alt in range(n + 2):
+        P = signed_vector_poset(n, p, min_alt)
+        assert (P.labels, P.above, P.generator) == _reference_signed_vector_poset(n, p, min_alt)
