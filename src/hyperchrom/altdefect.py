@@ -274,6 +274,7 @@ class _SignedOrder:
 
     vectors: tuple  # SignedVector, lexicographic
     sup: tuple  # sup[v]: positions of the strict supersets of vectors[v]
+    sub: tuple  # sub[v]: positions of the strict subsets of vectors[v]
     rot: tuple  # rot[v]: position of vectors[v].rotate(1)
     reps: tuple  # positions of the orbit representatives
     code: tuple  # code[v] = p*i + k when vectors[v] == vectors[reps[i]].rotate(k)
@@ -287,12 +288,23 @@ class _SignedOrder:
 @functools.lru_cache(maxsize=16)
 def _signed_order(n: int, p: int) -> _SignedOrder:
     vectors = tuple(signed_vectors(n, p))  # itertools.product: lexicographic
-    index = {X: v for v, X in enumerate(vectors)}
-    sup = tuple(
-        tuple(w for w, Y in enumerate(vectors) if w != v and X.issubset(Y))
-        for v, X in enumerate(vectors)
-    )
-    rot = tuple(index[X.rotate(1)] for X in vectors)
+    index = {X.entries: v for v, X in enumerate(vectors)}
+    # the strict supersets of X fill some of its zero entries; itertools
+    # product keeps them lexicographic, and the all-zero fill is X itself
+    sup: list[tuple] = []
+    sub: list[list] = [[] for _ in vectors]
+    for v, X in enumerate(vectors):
+        zeros = [a for a, x in enumerate(X.entries) if x == 0]
+        entries = list(X.entries)
+        ups = []
+        for fill in itertools.product(range(p + 1), repeat=len(zeros)):
+            for a, x in zip(zeros, fill):
+                entries[a] = x
+            ups.append(index[tuple(entries)])
+        sup.append(tuple(ups[1:]))
+        for w in ups[1:]:
+            sub[w].append(v)
+    rot = tuple(index[X.rotate(1).entries] for X in vectors)
     size = [len(X.support()) for X in vectors]
     leaders = [v for v, X in enumerate(vectors) if X == signed_orbit_representative(X)]
     layer = collections.Counter(size[v] for v in leaders)
@@ -318,7 +330,8 @@ def _signed_order(n: int, p: int) -> _SignedOrder:
     top = len(reps) - layer[last]
     return _SignedOrder(
         vectors,
-        sup,
+        tuple(sup),
+        tuple(map(tuple, sub)),
         rot,
         tuple(reps),
         tuple(code),

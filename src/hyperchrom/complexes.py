@@ -79,11 +79,26 @@ class SimplicialGComplex:
         perm = self._perms[g % self.p]
         return frozenset(perm[v] for v in s)
 
+    @cached_property
+    def _holders(self) -> dict:
+        """Maps each vertex to the mask of the maximal simplices holding it
+        (bit t for ``maximal_simplices[t]``)."""
+        holders = dict.fromkeys(self.vertices, 0)
+        for t, m in enumerate(self.maximal_simplices):
+            for v in m:
+                holders[v] |= 1 << t
+        return holders
+
     def is_simplex(self, s: Iterable[Label]) -> bool:
-        fs = frozenset(s)
-        if not fs:
-            return True
-        return any(fs <= m for m in self.maximal_simplices)
+        """Some maximal simplex holds every vertex of s; the empty set is a
+        simplex, and a vertex outside the complex is in none."""
+        holders = self._holders
+        common = -1  # every maximal simplex
+        for v in s:
+            common &= holders.get(v, 0)
+            if not common:
+                return False
+        return True
 
     @property
     def dim(self) -> int:

@@ -45,9 +45,12 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
+@functools.lru_cache(maxsize=16)
 def _edges_through(H: Hypergraph) -> list[list[int]]:
     """Entry v lists the masks of the edges of H that contain v, as
-    :func:`_closes_edge` reads them."""
+    :func:`_closes_edge` reads them.  Cached, as the colorability defect
+    searches one hypergraph once per removal set: callers must not change
+    the table."""
     through: list[list[int]] = [[] for _ in range(H.n + 1)]
     for e in H.edges:
         m = _mask(e)

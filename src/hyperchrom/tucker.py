@@ -278,18 +278,24 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
     so the layer is an antichain: the screen never relates two of its
     vectors, and a chain holds at most one of them.  Once ``reps[:top]``
     are assigned, the admissible completions are therefore the product
-    of each top representative's admissible (sign, level) options.  If
+    of each top representative's admissible (sign, level) options.  A
+    representative's options with one sign are the levels outside its
+    clash mask, the levels of the comparable representatives whose signs
+    clash with it, so the product is counted from those masks.  If
     ``reps[:top]`` already hold a chain, every completion has one;
     otherwise a completion lacks a chain exactly when each top
     representative takes an option that completes none, and only those
     completions are built.
 
     Each labeling is searched for a chain of length n - alpha on integer
-    arrays.  A labeling without one is rebuilt and searched again by
-    :func:`find_fan_chain`; only a second miss is recorded as a failure,
-    and a disagreement raises.  When n - alpha exceeds
-    (p-1) max(m-alpha, 0) the lemma implies no admissible labeling
-    exists; the report's ``regime_ok`` records that vacuity.
+    arrays.  While the assigned representatives hold no chain, a new
+    representative can only complete one through its own orbit, so at
+    n - alpha >= 3 that test searches only the chains through the
+    representative's vector.  A labeling without a chain is rebuilt and
+    searched again by :func:`find_fan_chain`; only a second miss is
+    recorded as a failure, and a disagreement raises.  When n - alpha
+    exceeds (p-1) max(m-alpha, 0) the lemma implies no admissible
+    labeling exists; the report's ``regime_ok`` records that vacuity.
     ``ValueError`` names a parameter below its least value.
     """
     least_values = (("n", n, 1), ("m", m, 0), ("p", p, 2), ("alpha", alpha, 0))
@@ -310,7 +316,9 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
         for cons in order.cons
     ]
     signs = range(p)
+    rep_signs = [(0,) if p == 2 and i == 0 else signs for i in range(R)]
     levels = range(1, m + 1)
+    low = (1 << (min(screened, m) + 1)) - 2  # the screened levels 1..screened
     count = 0
     failures: list = []
 
@@ -339,42 +347,77 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
             return False
 
     else:  # one search over the superset lists; k <= 0 asks for the empty chain
-        sup, code = order.sup, order.code
+        sup, sub, code = order.sup, order.sub, order.code
         hi, lo = math.ceil(k / p), k // p
 
-        def has_chain() -> bool:
-            counts = [0] * p
+        def grow(pool, left: int, used: list, counts: list) -> bool:
+            """Extend a chain up through ``pool`` by ``left`` vectors."""
+            if left <= 0:
+                return all(c >= lo for c in counts)
+            for v in pool:
+                i = code[v] // p
+                j = lev[i]
+                if j > alpha:
+                    s = (eps[i] + code[v]) % p
+                    if counts[s] < hi and (s, j) not in used:
+                        counts[s] += 1
+                        if grow(sup[v], left - 1, used + [(s, j)], counts):
+                            return True
+                        counts[s] -= 1
+            return False
 
-            def grow(pool, left: int, used: list) -> bool:
+        def has_chain() -> bool:
+            return grow(range(len(code)), k, [], [0] * p)
+
+        def touches(i: int) -> bool:
+            """A chain through rep i and the reps before it.
+
+            Only asked while the reps before i hold no chain, so a chain
+            meets orbit i, and rotating it puts vectors[reps[i]] on it
+            with its labels still distinct and its signs still balanced.
+            The search goes down from that vector through ``sub`` and
+            then up from it through ``sup``.
+            """
+            if lev[i] <= alpha:
+                return False
+            v0 = order.reps[i]
+            counts = [0] * p
+            counts[eps[i]] = 1
+
+            def down(pool, left: int, used: list) -> bool:
+                if grow(sup[v0], left, used, counts):
+                    return True
                 if left <= 0:
-                    return all(c >= lo for c in counts)
+                    return False
                 for v in pool:
-                    i = code[v] // p
-                    j = lev[i]
+                    a = code[v] // p
+                    j = lev[a]
                     if j > alpha:
-                        s = (eps[i] + code[v]) % p
+                        s = (eps[a] + code[v]) % p
                         if counts[s] < hi and (s, j) not in used:
                             counts[s] += 1
-                            if grow(sup[v], left - 1, used + [(s, j)]):
+                            if down(sub[v], left - 1, used + [(s, j)]):
                                 return True
                             counts[s] -= 1
                 return False
 
-            return grow(range(len(code)), k, [])
+            return down(sub[v0], k - 1, [(eps[i], lev[i])])
 
-        def touches(_i: int) -> bool:
-            # only asked while no chain is known, so any chain is new
-            return has_chain()
+    def clash(i: int, s: int) -> int:
+        """The levels rep i cannot take with sign s, as a bit mask: a
+        comparable rep there carries a clashing sign."""
+        mask = 0
+        for a, t in need[i][s]:
+            if eps[a] != t:
+                mask |= 1 << lev[a]
+        return mask
 
     def options(i: int) -> list:
         """The (sign, level) pairs the screen lets rep i take."""
         out = []
-        for s in (0,) if p == 2 and i == 0 else signs:
-            clash = set()  # levels i cannot take: a comparable rep there clashes
-            for a, t in need[i][s]:
-                if eps[a] != t:
-                    clash.add(lev[a])
-            out.extend((s, j) for j in levels if j > screened or j not in clash)
+        for s in rep_signs[i]:
+            mask = clash(i, s)
+            out.extend((s, j) for j in levels if j > screened or not mask >> j & 1)
         return out
 
     def cross_check() -> None:
@@ -390,10 +433,18 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
         """Count the completions of reps[:top]; cross-check the chainless."""
         nonlocal count
         layer = range(top, R)
+        if chained:
+            # each top rep's options, counted from its clash masks
+            total = 1
+            for t in layer:
+                ways = 0
+                for s in rep_signs[t]:
+                    ways += m - (clash(t, s) & low).bit_count()
+                total *= ways
+            count += total
+            return
         opts = [options(t) for t in layer]
         count += math.prod(map(len, opts))
-        if chained:
-            return
         free = []  # per top rep, the options that complete no chain
         for t, choices in zip(layer, opts):
             keep = []

@@ -87,3 +87,23 @@ def test_colorability_defect(n, k, p, expect):
 def test_vertices_minus_alt_equals_defect(n, k, p):
     F = complete_hypergraph(n, k)
     assert F.n - alt_min(F, p).value == colorability_defect(F, p)
+
+
+@pytest.mark.parametrize(
+    "n, p", [(n, p) for n in (1, 2, 3) for p in (2, 3, 4, 5)] + [(4, 3)]
+)
+def test_signed_order_sup_matches_pairwise_scan(n, p):
+    # sup fills zero entries; the definition tests every ordered pair
+    from hyperchrom.altdefect import _signed_order
+
+    order = _signed_order(n, p)
+    vectors = order.vectors
+    assert order.sup == tuple(
+        tuple(w for w, Y in enumerate(vectors) if w != v and X.issubset(Y))
+        for v, X in enumerate(vectors)
+    )
+    # sub inverts sup, in lexicographic order
+    assert order.sub == tuple(
+        tuple(v for v, ys in enumerate(order.sup) if w in ys)
+        for w in range(len(vectors))
+    )

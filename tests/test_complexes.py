@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -573,3 +574,37 @@ def test_signed_vector_poset_matches_definition(n, p):
     for min_alt in range(n + 2):
         P = signed_vector_poset(n, p, min_alt)
         assert (P.labels, P.above, P.generator) == _reference_signed_vector_poset(n, p, min_alt)
+
+
+IS_SIMPLEX_CASES = [
+    lambda: box_complex(petersen(), 2),
+    lambda: box_complex(usual_kneser(5, 2, 2), 3),
+    lambda: box_complex(usual_kneser(5, 3, 2), 3),
+    lambda: sigma_complex(3, 3, 1),
+    *[lambda p=p, n=n: zp_join(p, n) for p in (2, 3, 5) for n in (1, 2, 3)],
+]
+
+
+@pytest.mark.parametrize("make", IS_SIMPLEX_CASES)
+def test_is_simplex_matches_subset_scan(make):
+    # the per-vertex masks agree with a subset test against every
+    # maximal simplex, on every simplex and on random vertex sets
+    K = make()
+
+    def scan(s):
+        fs = frozenset(s)
+        return not fs or any(fs <= m for m in K.maximal_simplices)
+
+    assert K.is_simplex(()) and K.is_simplex(frozenset())
+    assert all(K.is_simplex(s) for s in K.simplices())
+    rng = random.Random(len(K.vertices))
+    verts = sorted(K.vertices, key=repr)
+    outside = ("not a vertex",)
+    misses = 0
+    for _ in range(2000):
+        s = rng.sample(verts, rng.randint(1, min(len(verts), K.dim + 3)))
+        assert K.is_simplex(s) == scan(s)
+        misses += not scan(s)
+        assert not K.is_simplex(s + [outside])
+    assert misses > 0
+    assert not K.is_simplex([outside])

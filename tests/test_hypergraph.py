@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hyperchrom.hypergraph import (
+    _edges_through,
     _links,
     _local_palettes,
     _neighbour_masks,
@@ -229,3 +230,13 @@ def test_local_palettes_match_reference(H):
 def test_local_palette_needs_a_uniform_hypergraph_with_an_edge(H):
     with pytest.raises(ValueError, match="uniform hypergraph with an edge"):
         local_palette(H, Coloring((1,) * H.n, palette_size=1))
+
+
+def test_edges_through_is_built_once_per_hypergraph():
+    # an equal hypergraph reads the same cached table
+    H = usual_kneser(6, 2, 2)
+    through = _edges_through(H)
+    assert through is _edges_through(usual_kneser(6, 2, 2))
+    assert through == [
+        [sum(1 << u for u in e) for e in H.edges if v in e] for v in range(H.n + 1)
+    ]

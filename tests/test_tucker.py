@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -454,3 +455,168 @@ def test_fan_sweep_accepts_the_smallest_parameters():
     assert (rep.admissible, rep.ok) == (0, True)
     rep = fan_sweep(1, 1, 2, 0)
     assert (rep.admissible, rep.checked, rep.ok) == (2, 1, True)
+
+
+# ---------------------------------------------------------------------------
+# the former p = 2 sweep, kept as a reference for the clash-mask count and
+# the chain search through the new representative
+# ---------------------------------------------------------------------------
+
+
+def _reference_fan_sweep_p2(n, m, alpha):
+    """fan_sweep(n, m, 2, alpha) as it was: every top option is listed to
+    be counted, and every chain test at k >= 3 searches the whole
+    labeling."""
+    p = 2
+    order = tucker._signed_order(n, p)
+    R = len(order.reps)
+    top = order.top
+    k = n - alpha
+    eps = [0] * R
+    lev = [0] * R
+    screened = m
+    need = [
+        [[(a, (s - d) % p if d >= 0 else -1) for a, d in cons] for s in range(p)]
+        for cons in order.cons
+    ]
+    signs = range(p)
+    levels = range(1, m + 1)
+    count = 0
+    failures = []
+
+    if k == 2:
+        pairs = order.pairs
+        below = [[] for _ in range(R)]
+        for a, i, d in pairs:
+            below[i].append((a, d))
+
+        def has_chain():
+            for a, i, d in pairs:
+                if lev[a] > alpha and lev[i] > alpha and (eps[i] - eps[a]) % p != d:
+                    return True
+            return False
+
+        def touches(i):
+            if lev[i] <= alpha:
+                return False
+            for a, d in below[i]:
+                if lev[a] > alpha and (eps[i] - eps[a]) % p != d:
+                    return True
+            return False
+
+    else:
+        sup, code = order.sup, order.code
+        hi, lo = math.ceil(k / p), k // p
+
+        def has_chain():
+            counts = [0] * p
+
+            def grow(pool, left, used):
+                if left <= 0:
+                    return all(c >= lo for c in counts)
+                for v in pool:
+                    i = code[v] // p
+                    j = lev[i]
+                    if j > alpha:
+                        s = (eps[i] + code[v]) % p
+                        if counts[s] < hi and (s, j) not in used:
+                            counts[s] += 1
+                            if grow(sup[v], left - 1, used + [(s, j)]):
+                                return True
+                            counts[s] -= 1
+                return False
+
+            return grow(range(len(code)), k, [])
+
+        def touches(_i):
+            return has_chain()
+
+    def options(i):
+        out = []
+        for s in (0,) if p == 2 and i == 0 else signs:
+            clash = set()
+            for a, t in need[i][s]:
+                if eps[a] != t:
+                    clash.add(lev[a])
+            out.extend((s, j) for j in levels if j > screened or j not in clash)
+        return out
+
+    def cross_check():
+        lab = tucker._labeling(order, n, m, p, eps, lev)
+        res = find_fan_chain(lab, alpha)
+        if not isinstance(res, Verdict):
+            raise RuntimeError(
+                f"fan_sweep found no chain where find_fan_chain found {res}"
+            )
+        failures.append((lab.table, res))
+
+    def count_top(chained):
+        nonlocal count
+        layer = range(top, R)
+        opts = [options(t) for t in layer]
+        count += math.prod(map(len, opts))
+        if chained:
+            return
+        free = []
+        for t, choices in zip(layer, opts):
+            keep = []
+            for s, j in choices:
+                eps[t], lev[t] = s, j
+                if not touches(t):
+                    keep.append((s, j))
+            lev[t] = 0
+            if not keep:
+                return
+            free.append(keep)
+        for labels in itertools.product(*free):
+            for t, (s, j) in zip(layer, labels):
+                eps[t], lev[t] = s, j
+            cross_check()
+        for t in layer:
+            lev[t] = 0
+
+    def rec(i, chained):
+        nonlocal count
+        if i == R:
+            count += 1
+            if not has_chain():
+                cross_check()
+            return
+        if i == top:
+            count_top(chained)
+            return
+        for s, j in options(i):
+            eps[i], lev[i] = s, j
+            rec(i + 1, chained or top < R and touches(i))
+        lev[i] = 0
+
+    rec(0, has_chain())
+    in_regime = k <= (p - 1) * max(m - alpha, 0)
+    return tucker.SweepReport(
+        (n, m, p, alpha), count * p, tuple(failures), in_regime or count == 0, count
+    )
+
+
+REFERENCE_SWEEPS = [
+    (n, m, alpha) for n in (1, 2, 3) for m in range(4) for alpha in range(n + 2)
+]
+
+
+@pytest.mark.parametrize("n, m, alpha", REFERENCE_SWEEPS)
+def test_sweep_p2_matches_reference(n, m, alpha):
+    assert fan_sweep(n, m, 2, alpha) == _reference_fan_sweep_p2(n, m, alpha)
+
+
+@pytest.mark.parametrize(
+    "n, m, alpha, chainless",
+    [(2, 2, 0, 0), (2, 2, 1, 8), (3, 1, 0, 4096), (3, 1, 1, 4096)],
+)
+def test_unscreened_sweep_p2_matches_reference(monkeypatch, n, m, alpha, chainless):
+    # without the screen chainless completions exist, so the reference
+    # and the sweep must cross-check the same labelings
+    real = tucker._signed_order(n, 2)
+    unscreened = dataclasses.replace(real, cons=tuple(() for _ in real.cons))
+    monkeypatch.setattr(tucker, "_signed_order", lambda n, p: unscreened)
+    rep = fan_sweep(n, m, 2, alpha)
+    assert len(rep.failures) == chainless
+    assert rep == _reference_fan_sweep_p2(n, m, alpha)
