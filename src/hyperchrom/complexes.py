@@ -4,8 +4,8 @@ Group elements of Z_p are residues 0..p-1 with 0 the identity; the
 display convention writes residue j as w^j (and the identity as w^p,
 matching the usual generator-power notation).
 
-Complexes are stored by their maximal simplices; membership of a face
-is a subset test against that antichain.
+Complexes are stored by their maximal simplices, and membership of a
+face is a subset test against that antichain; posets by their covers.
 """
 
 from __future__ import annotations
@@ -156,13 +156,14 @@ class SimplicialGComplex:
 class GPoset:
     """Finite poset with a Z_p action by order automorphisms.
 
-    The strict order is stored as ``above[i]`` = indices strictly above
-    element i; labels are kept for display and witnesses.  ``covers``
-    is derived from it.
+    The order is stored as ``covers[i]``, the indices above element i
+    with nothing strictly between; it must be the transitive reduction,
+    and ``above`` is derived from it.  Labels are kept for display and
+    witnesses.
     """
 
     labels: tuple[Label, ...]
-    above: tuple[frozenset[int], ...]
+    covers: tuple[frozenset[int], ...]
     p: int
     generator: tuple[int, ...]
     provenance: Optional[tuple] = field(default=None, compare=False)
@@ -183,11 +184,19 @@ class GPoset:
         return self._perms[g % self.p][i]
 
     @cached_property
-    def covers(self) -> tuple[frozenset[int], ...]:
-        """``covers[i]``: the elements above i with nothing strictly
-        between, i.e. the transitive reduction of the order."""
-        above = self.above
-        return tuple(ups.difference(*(above[j] for j in ups)) for ups in above)
+    def above(self) -> tuple[frozenset[int], ...]:
+        """``above[i]``: the indices strictly above i, the transitive
+        closure of ``covers``, each built in ascending order."""
+        covers = self.covers
+        above: dict[int, frozenset[int]] = {}
+
+        def close(i: int) -> frozenset[int]:
+            if i not in above:
+                ups = set(covers[i]).union(*map(close, covers[i]))
+                above[i] = frozenset(sorted(ups))
+            return above[i]
+
+        return tuple(close(i) for i in range(len(covers)))
 
     def lt(self, i: int, j: int) -> bool:
         return j in self.above[i]
@@ -199,9 +208,10 @@ class GPoset:
         )
 
     def action_preserves_order(self) -> bool:
+        """Covers go to covers, so, by chains of covers, the order does too."""
         gen = self.generator
         return all(
-            all(gen[j] in self.above[gen[i]] for j in self.above[i])
+            all(gen[j] in self.covers[gen[i]] for j in self.covers[i])
             for i in range(len(self.labels))
         )
 
@@ -211,7 +221,7 @@ class GPoset:
 
         def h(i: int) -> int:
             if i not in memo:
-                memo[i] = 1 + max((h(j) for j in self.above[i]), default=0)
+                memo[i] = 1 + max((h(j) for j in self.covers[i]), default=0)
             return memo[i]
 
         return max((h(i) for i in range(len(self.labels))), default=0)
@@ -293,10 +303,10 @@ class _PartiteSearch:
 
     The search adds slots (eps, v), "v joins part eps", in the fixed
     order of ``slots`` (vertex-major), depth first.  Its state is
-    bitmasks: bit v of ``masks[eps]`` for the parts.  Each yielded part
-    is ``frozenset(_bit_indices(mask))``, built in ascending vertex
-    order, so a family's repr is a function of its sets and not of the
-    search's history.
+    bitmasks: bit v of ``masks[eps]`` for the parts.  Each part of a
+    family is ``frozenset(_bit_indices(mask))`` (:meth:`_family`), built
+    in ascending vertex order, so a family's repr is a function of its
+    sets and not of the search's history.
 
     The recursion carries ``open_``: bit w of ``open_[i]`` is set iff w
     is unused and slot (i, w) is open, i.e. every r-set taking w and one
@@ -360,12 +370,12 @@ class _PartiteSearch:
             self.later.append(row)
         self.later.reverse()
 
-    def _family(self) -> tuple[frozenset[int], ...]:
-        """The current family; each part's frozenset is built once per
-        mask, in ascending vertex order."""
+    def _family(self, masks: Sequence[int]) -> tuple[frozenset[int], ...]:
+        """The family with these part masks; each part's frozenset is
+        built once per mask, in ascending vertex order."""
         frozen = self._frozen
         out = []
-        for m in self.masks:
+        for m in masks:
             part = frozen.get(m)
             if part is None:
                 part = frozen[m] = frozenset(_bit_indices(m))
@@ -394,14 +404,15 @@ class _PartiteSearch:
                 out[i] &= cut
         return out
 
-    def families(self) -> Iterator[tuple[frozenset[int], ...]]:
+    def families(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """Every family with all parts nonempty, exactly once, in the
-        depth-first order of the slots."""
+        depth-first order of the slots, as its part masks and its
+        ``open_`` masks."""
         slots, later, masks, narrow = self.slots, self.later, self.masks, self._narrow
 
-        def rec(start: int, open_: list[int]) -> Iterator[tuple[frozenset[int], ...]]:
+        def rec(start: int, open_: list[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
             if all(masks):
-                yield self._family()
+                yield tuple(masks), open_
             elif not all(m or o & l for m, o, l in zip(masks, open_, later[start])):
                 return
             for idx in range(start, len(slots)):
@@ -442,7 +453,7 @@ class _PartiteSearch:
             """Below a node that is not stuck."""
             if not any(o & l for o, l in zip(open_, later[start])):
                 # and, as the node is not stuck, no earlier slot is open
-                yield self._family()
+                yield self._family(masks)
                 return
             for idx in range(start, len(slots)):
                 eps, v = slots[idx]
@@ -482,43 +493,35 @@ def hom_poset(H: Hypergraph, r: int, p: int) -> GPoset:
     pairwise disjoint parts forming complete r-uniform p-partite
     subhypergraphs, ordered by componentwise inclusion, rotated by Z_p.
 
-    The elements come from :meth:`_PartiteSearch.families`, which keeps,
-    for every r, one open-slot mask per part and narrows it by one rule:
-    when v joins a part, every other part's mask is ANDed with the link
-    of v plus each (r-2)-transversal of the remaining nonempty parts.
-    It cuts a branch once some empty part has no open slot left: slots
-    only close as a family grows, so no family below has every part
-    nonempty.  Each label is a tuple of frozensets built in ascending
-    vertex order, so its repr is a function of its sets.  Elements are
-    sorted by their sorted parts.  H must be r-uniform or edgeless;
-    mixed edge sizes raise ``ValueError``.
+    The elements are the families of :meth:`_PartiteSearch.families`,
+    sorted by their sorted parts.  Each label is a tuple of frozensets
+    built in ascending vertex order, so its repr is a function of its
+    sets.  A family above another contains that family with one vertex
+    added to one part, itself an element, so the covers of a family are
+    the families its open slots give; they are looked up by part masks,
+    like the generator's images.  H must be r-uniform or edgeless; mixed
+    edge sizes raise ``ValueError``.
     """
     if not _is_prime(p):
         raise ValueError("p must be prime")
     if H.uniformity != r and (H.uniformity is not None or H.edges):
         raise ValueError("H is not r-uniform")
-    elements = sorted(
-        _PartiteSearch(H, p, r).families(),
-        key=lambda fam: tuple(sorted(part) for part in fam),
+    search = _PartiteSearch(H, p, r)
+    found = sorted(
+        ((search._family(masks), masks, open_) for masks, open_ in search.families()),
+        key=lambda item: tuple(sorted(part) for part in item[0]),
     )
-    index = {fam: i for i, fam in enumerate(elements)}
-    # holders[eps][x]: bitmask of the elements whose part eps contains x;
-    # the elements above fam are those holding every vertex of every part
-    holders: list[dict[int, int]] = [{} for _ in range(p)]
-    for i, fam in enumerate(elements):
-        for eps, part in enumerate(fam):
-            for x in part:
-                holders[eps][x] = holders[eps].get(x, 0) | 1 << i
-    above = []
-    for i, fam in enumerate(elements):
-        ups = -1
-        for eps, part in enumerate(fam):
-            for x in part:
-                ups &= holders[eps][x]
-        above.append(frozenset(_bit_indices(ups & ~(1 << i))))
-    gen = tuple(index[fam[1:] + fam[:1]] for fam in elements)
+    index = {masks: i for i, (_, masks, _) in enumerate(found)}
+
+    def ups(masks: tuple[int, ...], open_: list[int]) -> Iterator[int]:
+        for eps, slots in enumerate(open_):
+            for v in _bit_indices(slots):
+                yield index[(*masks[:eps], masks[eps] | 1 << v, *masks[eps + 1 :])]
+
+    covers = tuple(frozenset(sorted(ups(masks, open_))) for _, masks, open_ in found)
+    gen = tuple(index[masks[1:] + masks[:1]] for _, masks, _ in found)
     return GPoset(
-        tuple(elements), tuple(above), p, gen, provenance=("hom", H, r, p)
+        tuple(fam for fam, _, _ in found), covers, p, gen, provenance=("hom", H, r, p)
     )
 
 
@@ -537,8 +540,9 @@ def beat_core(P: GPoset) -> tuple[GPoset, tuple[int, ...]]:
     some remaining upper cover of u already lies below w.
 
     C is the induced subposet on the remaining elements in ascending index
-    order (P itself when nothing is removed); ``r[x]`` is the index in C of
-    the element x retracts to, composed in reverse order of removal.
+    order (P itself when nothing is removed), covered as the update leaves
+    it; ``r[x]`` is the index in C of the element x retracts to, composed
+    in reverse order of removal.
     """
     n = len(P)
     above = P.above
@@ -595,7 +599,7 @@ def beat_core(P: GPoset) -> tuple[GPoset, tuple[int, ...]]:
         index[z] = index[target[z]]
     C = GPoset(
         tuple(P.labels[x] for x in core),
-        tuple(frozenset(index[y] for y in above[x] if y not in target) for x in core),
+        tuple(frozenset(sorted(index[y] for y in up[x])) for x in core),
         P.p,
         tuple(index[P.generator[x]] for x in core),
         provenance=("beat_core", P),
@@ -638,26 +642,28 @@ def q_poset(n: int, p: int) -> GPoset:
         raise ValueError("need n >= 0 and p >= 2")
     labels = tuple((eps, j) for j in range(1, n + 2) for eps in range(p))
     idx = {lab: i for i, lab in enumerate(labels)}
-    above = tuple(
-        frozenset(idx[(e2, j2)] for e2 in range(p) for j2 in range(lab[1] + 1, n + 2))
-        for lab in labels
-    )
+    # (eps, i) is covered by every element one level up
+    covers = tuple(frozenset(idx[e, i + 1] for e in range(p) if i <= n) for _, i in labels)
     gen = tuple(idx[((lab[0] + 1) % p, lab[1])] for lab in labels)
-    return GPoset(labels, above, p, gen, provenance=("q_poset", n, p))
+    return GPoset(labels, covers, p, gen, provenance=("q_poset", n, p))
 
 
 def signed_vector_poset(n: int, p: int, min_alt: int = 1) -> GPoset:
     """Poset of nonzero signed vectors with alt >= min_alt, ordered by
     classwise inclusion, with the rotation action, read from the cached
     signed-order table.  Alt never drops on a superset, so the kept
-    vectors form an up-set and keep all their supersets."""
+    vectors form an up-set and keep all their supersets; the covers of
+    a vector are its supersets one support size up."""
     order = _signed_order(n, p)
     keep = [v for v, X in enumerate(order.vectors) if alt_of_vector(X) >= min_alt]
     idx = {v: i for i, v in enumerate(keep)}
-    above = tuple(frozenset(idx[w] for w in order.sup[v]) for v in keep)
+    size = [len(X.support()) for X in order.vectors]
+    covers = tuple(
+        frozenset(idx[w] for w in order.sup[v] if size[w] == size[v] + 1) for v in keep
+    )
     gen = tuple(idx[order.rot[v]] for v in keep)
     labels = tuple(order.vectors[v] for v in keep)
-    return GPoset(labels, above, p, gen, provenance=("signed_poset", n, p, min_alt))
+    return GPoset(labels, covers, p, gen, provenance=("signed_poset", n, p, min_alt))
 
 
 def sigma_complex(n: int, p: int, alpha: int) -> SimplicialGComplex:

@@ -287,10 +287,11 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
     representative takes an option that completes none, and only those
     completions are built.
 
-    Each labeling is searched for a chain of length n - alpha on integer
-    arrays.  While the assigned representatives hold no chain, a new
-    representative can only complete one through its own orbit, so at
-    n - alpha >= 3 that test searches only the chains through the
+    The chains of length n - alpha are searched on integer arrays as
+    the representatives are assigned, at every p: one flag records
+    whether the assigned representatives hold a chain.  While they hold
+    none, a new representative can only complete one through its own
+    orbit, so the test searches only the chains through the
     representative's vector.  A labeling without a chain is rebuilt and
     searched again by :func:`find_fan_chain`; only a second miss is
     recorded as a failure, and a disagreement raises.  When n - alpha
@@ -325,17 +326,9 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
     if k == 2:
         # a two-chain is one comparable pair with two signs; a pair and
         # its rotations share their offset, so one test covers them all
-        # has_chain scans a whole labeling; touches, the pairs ending at rep i
-        pairs = order.pairs
         below = [[] for _ in range(R)]  # below[i]: (a, d) per (a, i, d) in pairs
-        for a, i, d in pairs:
+        for a, i, d in order.pairs:
             below[i].append((a, d))
-
-        def has_chain() -> bool:
-            for a, i, d in pairs:
-                if lev[a] > alpha and lev[i] > alpha and (eps[i] - eps[a]) % p != d:
-                    return True
-            return False
 
         def touches(i: int) -> bool:
             """A chain through rep i and the reps before it."""
@@ -346,7 +339,7 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
                     return True
             return False
 
-    else:  # one search over the superset lists; k <= 0 asks for the empty chain
+    else:  # one search over the superset lists
         sup, sub, code = order.sup, order.sub, order.code
         hi, lo = math.ceil(k / p), k // p
 
@@ -365,9 +358,6 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
                             return True
                         counts[s] -= 1
             return False
-
-        def has_chain() -> bool:
-            return grow(range(len(code)), k, [], [0] * p)
 
         def touches(i: int) -> bool:
             """A chain through rep i and the reps before it.
@@ -464,6 +454,7 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
             lev[t] = 0
 
     def rec(i: int, chained: bool) -> None:
+        """``chained``: reps[:i] hold a chain."""
         nonlocal count
         if i == R:
             if p > 2 and not check_labeling_conditions(
@@ -471,7 +462,7 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
             ).ok:
                 return
             count += 1
-            if not has_chain():
+            if not chained:
                 cross_check()
             return
         if i == top:
@@ -479,10 +470,10 @@ def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:
             return
         for s, j in options(i):
             eps[i], lev[i] = s, j
-            rec(i + 1, chained or top < R and touches(i))
+            rec(i + 1, chained or touches(i))
         lev[i] = 0
 
-    rec(0, has_chain())
+    rec(0, k <= 0)  # only the empty chain needs no representative
     # a chain of k labels above alpha holds at most p - 1 vectors per level
     in_regime = k <= (p - 1) * max(m - alpha, 0)
     admissible = count * p if p == 2 else count

@@ -118,6 +118,20 @@ def test_q_poset_order_complex_is_cycle():
     assert len(C.maximal_simplices) == 4
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_q_poset_matches_definition(n, p):
+    # (eps, i) < (eps', j) iff i < j, over Z_p x [n + 1]
+    P = q_poset(n, p)
+    assert sorted(P.labels) == [(eps, i) for eps in range(p) for i in range(1, n + 2)]
+    assert P.above == tuple(
+        frozenset(y for y, (_, j) in enumerate(P.labels) if i < j) for _, i in P.labels
+    )
+    assert [P.labels[P.generator[x]] for x in range(len(P))] == [
+        ((eps + 1) % p, i) for eps, i in P.labels
+    ]
+
+
 def test_sigma_complex_shapes():
     assert len(sigma_complex(2, 2, 1).vertices) == 2
     assert sigma_complex(2, 2, 1).dim == 0
@@ -391,42 +405,6 @@ def test_box_complex_matches_reference_enumeration(H, p):
     assert set(B.maximal_simplices) == set(maximal)
 
 
-def _covers(P, i, j):
-    """j covers i: i < j with nothing strictly between."""
-    return P.lt(i, j) and not any(P.lt(k, j) for k in P.above[i] if k != j)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        *[
-            pytest.param(lambda G=G, p=p: hom_poset(G(), 2, p), id=f"hom-{name}-p{p}")
-            for name, G in [
-                ("K4", lambda: k(4)),
-                ("C5", c5),
-                ("petersen", petersen),
-                ("KG62", lambda: usual_kneser(6, 2, 2)),
-            ]
-            for p in (2, 3)
-        ],
-        *[
-            pytest.param(lambda n=n, p=p: q_poset(n, p), id=f"q-{n}-{p}")
-            for n in range(4)
-            for p in (2, 3, 5)
-        ],
-        *[
-            pytest.param(lambda n=n: signed_vector_poset(n, 2), id=f"signed-{n}-2")
-            for n in range(4)
-        ],
-    ],
-)
-def test_covers_match_pairwise_definition(make):
-    P = make()
-    assert P.covers == tuple(
-        frozenset(j for j in P.above[i] if _covers(P, i, j)) for i in range(len(P))
-    )
-
-
 def _maximal_chains_from_pairwise_minima(P):
     """Maximal chains of P as order_complex lists them, starting from the
     minimal elements found by testing every pair."""
@@ -493,6 +471,47 @@ CORE_CASES = [
 ]
 
 
+def _covers(P, i, j):
+    """j covers i: i < j with nothing strictly between."""
+    return P.lt(i, j) and not any(P.lt(k, j) for k in P.above[i] if k != j)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *[
+            pytest.param(lambda G=G, p=p: hom_poset(G(), 2, p), id=f"hom-{name}-p{p}")
+            for name, G in [
+                ("K4", lambda: k(4)),
+                ("C5", c5),
+                ("petersen", petersen),
+                ("KG62", lambda: usual_kneser(6, 2, 2)),
+            ]
+            for p in (2, 3)
+        ],
+        *[
+            pytest.param(lambda n=n, p=p: q_poset(n, p), id=f"q-{n}-{p}")
+            for n in range(4)
+            for p in (2, 3, 5)
+        ],
+        *[
+            pytest.param(lambda n=n: signed_vector_poset(n, 2), id=f"signed-{n}-2")
+            for n in range(4)
+        ],
+        # the core's covers come from beat_core's incremental update
+        *[
+            pytest.param(lambda make=case.values[0]: beat_core(make())[0], id=f"core-{case.id}")
+            for case in CORE_CASES
+        ],
+    ],
+)
+def test_covers_match_pairwise_definition(make):
+    P = make()
+    assert P.covers == tuple(
+        frozenset(j for j in P.above[i] if _covers(P, i, j)) for i in range(len(P))
+    )
+
+
 @pytest.mark.parametrize("make, size", CORE_CASES)
 def test_beat_core_is_an_equivariant_retract(make, size):
     P = make()
@@ -523,7 +542,18 @@ def test_beat_core_composes_the_retraction():
     # under w): (0, 1) has one lower cover a, so its orbit goes to a's; then
     # a has one lower cover b, so (0, 1) ends at b through a
     labels = ((0, 1), (1, 1), (0, 2), (1, 2), "a", "w.a", "b", "w.b")
-    above = (
+    covers = (
+        frozenset({2, 3}),
+        frozenset({2, 3}),
+        frozenset(),
+        frozenset(),
+        frozenset({0}),
+        frozenset({1}),
+        frozenset({4}),
+        frozenset({5}),
+    )
+    P = GPoset(labels, covers, 2, (1, 0, 3, 2, 5, 4, 7, 6))
+    assert P.above == (
         frozenset({2, 3}),
         frozenset({2, 3}),
         frozenset(),
@@ -533,7 +563,6 @@ def test_beat_core_composes_the_retraction():
         frozenset({0, 2, 3, 4}),
         frozenset({1, 2, 3, 5}),
     )
-    P = GPoset(labels, above, 2, (1, 0, 3, 2, 5, 4, 7, 6))
     C, r = beat_core(P)
     assert C.labels == ((0, 2), (1, 2), "b", "w.b")
     assert C.above == (frozenset(), frozenset(), frozenset({0, 1}), frozenset({0, 1}))

@@ -253,14 +253,17 @@ def test_missing_order_map_at_height_is_internal_error(monkeypatch):
 def test_dropped_cover_is_refused(monkeypatch):
     # Q_{1,2} needs the covers (e, 1) < (e + 1, 2): without them one level
     # with one sign per orbit satisfies the CNF, which check_order_map
-    # must refuse instead of reporting Xind = 0
+    # must refuse instead of reporting Xind = 0; the order is derived
+    # before the covers are replaced, so the checker still sees it
     P = q_poset(1, 2)
+    order = P.above
     same_sign = tuple(
         frozenset(y for y in ups if P.labels[y][0] == P.labels[x][0])
         for x, ups in enumerate(P.covers)
     )
     assert same_sign != P.covers
     monkeypatch.setitem(vars(P), "covers", same_sign)
+    assert P.above is order
     with pytest.raises(RuntimeError, match="internal error"):
         xind_exact(P)
 
