@@ -40,7 +40,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignedVector:
-    """Vector over Z_p u {0}; entries[i] == 0 marks zero, 1..p marks w^e."""
+    """Vector over Z_p u {0}; entries[i] == 0 marks zero, 1..p marks w^e.
+
+    The hash is computed once, from the same fields ``__eq__`` compares:
+    the vectors key every labeling table, so a leaf of a sweep would
+    otherwise rehash each entries tuple on every lookup.
+    """
 
     entries: tuple[int, ...]
     p: int
@@ -50,6 +55,10 @@ class SignedVector:
             raise ValueError("modulus must be at least 2")
         if any(not 0 <= x <= self.p for x in self.entries):
             raise ValueError("entries must lie in 0..p")
+        object.__setattr__(self, "_hash", hash((self.entries, self.p)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -283,6 +292,8 @@ class _SignedOrder:
     pairs: tuple
     cons: tuple  # cons[i]: (a, d) per (a, i, d) in pairs; d = -1 if d varies
     top: int  # reps[top:]: the largest layer
+    size: tuple  # size[v]: the support size of vectors[v]
+    members: frozenset  # the vectors, for totality checks of labelings
 
 
 @functools.lru_cache(maxsize=16)
@@ -338,4 +349,6 @@ def _signed_order(n: int, p: int) -> _SignedOrder:
         tuple(pairs),
         tuple(tuple(sorted(o.items())) for o in offsets),
         top,
+        tuple(size),
+        frozenset(vectors),
     )

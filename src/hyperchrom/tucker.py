@@ -71,7 +71,9 @@ class EquivariantLabeling:
     action; the second is a level in 1..m, fixed by the action.  The
     constructor checks totality and ranges only, so that deliberately
     broken labelings can be built for negative tests; equivariance is
-    checked by :func:`check_labeling_conditions`.
+    checked by :func:`check_labeling_conditions`.  Totality means the
+    keys are exactly the nonzero signed vectors of (n, p), so that no
+    checker meets a vector the table lacks.
     """
 
     n: int
@@ -80,11 +82,12 @@ class EquivariantLabeling:
     table: dict
 
     def __post_init__(self):
-        expected = (self.p + 1) ** self.n - 1
-        if len(self.table) != expected:
+        # frozenset(dict) reuses the hashes the dict stores
+        if frozenset(self.table) != _signed_order(self.n, self.p).members:
             raise ValueError("labeling must be total on the nonzero vectors")
+        p, m = self.p, self.m
         for X, (eps, j) in self.table.items():
-            if not (1 <= eps <= self.p and 1 <= j <= self.m):
+            if not (1 <= eps <= p and 1 <= j <= m):
                 raise ValueError(f"label {(eps, j)} for {X} out of range")
 
     def __call__(self, X: SignedVector) -> tuple[int, int]:
@@ -105,6 +108,14 @@ class EquivariantLabeling:
             for k in range(p):
                 table[rep.rotate(k)] = (_rot(eps, k, p), j)
         return cls(n, m, p, table)
+
+
+def _positional(table: dict, vectors: tuple) -> list:
+    """The labels of ``vectors``, in their order.  A table built in that
+    order, as the sweep builds it, is read without a lookup."""
+    if tuple(table) == vectors:
+        return list(table.values())
+    return list(map(table.__getitem__, vectors))
 
 
 @dataclass(frozen=True)
@@ -129,14 +140,24 @@ class Verdict:
 def check_labeling_conditions(lab: EquivariantLabeling, alpha: int) -> Verdict:
     """Verify equivariance and the two chain conditions of the
     Z_p-Tucker-Ky Fan lemma; returns the first violation found, in
-    lexicographic vector order."""
-    p = lab.p
-    order = _signed_order(lab.n, p)
-    vectors, sup = order.vectors, order.sup
-    labels = [lab(X) for X in vectors]
+    lexicographic vector order.
+
+    Condition 2 forbids a strict chain of p vectors on one level above
+    alpha with p pairwise distinct signs.  Each step up a strict chain
+    adds at least one position to the support, so a vector at depth d
+    of such a chain has support size at most n - (p - 1 - d).  The
+    search starts or extends a chain only at vectors within that bound:
+    the subtrees it skips hold no chain of p vectors, so it still meets
+    the same first witness in the same order.  At n < p it visits
+    nothing.
+    """
+    n, p = lab.n, lab.p
+    order = _signed_order(n, p)
+    vectors, sup, rot, size = order.vectors, order.sup, order.rot, order.size
+    labels = _positional(lab.table, vectors)
     for v, (eps, j) in enumerate(labels):
-        got = labels[order.rot[v]]
-        if got != (_rot(eps, 1, p), j):
+        got = labels[rot[v]]
+        if got[1] != j or got[0] != eps % p + 1:  # eps rotated by w
             return Verdict(
                 False,
                 "counterexample",
@@ -145,37 +166,51 @@ def check_labeling_conditions(lab: EquivariantLabeling, alpha: int) -> Verdict:
             )
     for x, ys in enumerate(sup):
         e1, j1 = labels[x]
+        if j1 > alpha:
+            continue
         for y in ys:
             e2, j2 = labels[y]
-            if j1 == j2 <= alpha and e1 != e2:
+            if j1 == j2 and e1 != e2:
                 return Verdict(
                     False,
                     "counterexample",
                     "condition 1 fails",
                     witness=(vectors[x], vectors[y]),
                 )
-    # condition 2: no strict chain of p vectors with one level >= alpha+1
-    # and p pairwise distinct signs
+    # condition 2, on one chain and one sign-used array: chain[:depth+1]
+    # is the chain so far, and used[e] marks its signs
+    chain = [0] * p
+    used = [False] * (p + 1)
+    cap = n - p + 1  # the largest support size at depth 0
 
-    def grow(chain: list, signs: set) -> Optional[tuple]:
-        if len(chain) == p:
-            return tuple(vectors[v] for v in chain)
-        level = labels[chain[-1]][1]
-        for y in sup[chain[-1]]:
+    def grow(depth: int) -> bool:
+        if depth == p - 1:
+            return True
+        v = chain[depth]
+        level = labels[v][1]
+        depth += 1
+        for y in sup[v]:
             eY, jY = labels[y]
-            if jY == level and eY not in signs:
-                hit = grow(chain + [y], signs | {eY})
-                if hit:
-                    return hit
-        return None
+            if jY == level and not used[eY] and size[y] <= cap + depth:
+                chain[depth] = y
+                used[eY] = True
+                if grow(depth):
+                    return True
+                used[eY] = False
+        return False
 
     for x, (eX, jX) in enumerate(labels):
-        if jX >= alpha + 1:
-            hit = grow([x], {eX})
-            if hit:
+        if jX > alpha and size[x] <= cap:
+            chain[0] = x
+            used[eX] = True
+            if grow(0):
                 return Verdict(
-                    False, "counterexample", "condition 2 fails", witness=hit
+                    False,
+                    "counterexample",
+                    "condition 2 fails",
+                    witness=tuple(vectors[v] for v in chain),
                 )
+            used[eX] = False
     return Verdict(True, "pass")
 
 
@@ -192,9 +227,8 @@ def find_fan_chain(lab: EquivariantLabeling, alpha: int) -> FanChain | Verdict:
     if k <= 0:
         return FanChain((), ())
     order = _signed_order(n, p)
-    vectors = order.vectors
-    labels = [lab(X) for X in vectors]
-    size = [len(X.support()) for X in vectors]
+    vectors, size = order.vectors, order.size
+    labels = _positional(lab.table, vectors)
     hi = math.ceil(k / p)
     lo = k // p
 
@@ -251,11 +285,8 @@ class SweepReport:
 def _labeling(order: _SignedOrder, n: int, m: int, p: int, eps: list, lev: list):
     """The labeling of every vector from one residue sign and one level
     per orbit representative."""
-    table = {
-        X: ((eps[c // p] + c) % p + 1, lev[c // p])
-        for X, c in zip(order.vectors, order.code)
-    }
-    return EquivariantLabeling(n, m, p, table)
+    labels = [((eps[c // p] + c) % p + 1, lev[c // p]) for c in order.code]
+    return EquivariantLabeling(n, m, p, dict(zip(order.vectors, labels)))
 
 
 def fan_sweep(n: int, m: int, p: int, alpha: int) -> SweepReport:

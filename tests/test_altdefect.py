@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,38 @@ from hyperchrom.hypergraph import complete_hypergraph
 
 def vec(entries, p=2):
     return SignedVector(tuple(entries), p)
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (3, 4)])
+def test_signed_vector_hash_follows_equality(n, p):
+    # the hash is computed once per vector; equal vectors, however they
+    # were built, must still hash alike
+    vectors = list(signed_vectors(n, p))
+    for X in vectors:
+        fresh = SignedVector(tuple(X.entries), p)
+        assert X == fresh and hash(X) == hash(fresh)
+        assert hash(dataclasses.replace(X)) == hash(fresh)
+        assert hash(copy.deepcopy(X)) == hash(fresh)
+        for k in range(p + 1):
+            Y = X.rotate(k)
+            assert hash(Y) == hash(SignedVector(Y.entries, p))
+        Z = dataclasses.replace(X, entries=X.rotate(1).entries)
+        assert Z == X.rotate(1) and hash(Z) == hash(X.rotate(1))
+    # unequal vectors of one (n, p) stay distinct keys
+    table = {X: v for v, X in enumerate(vectors)}
+    assert len(table) == len(vectors) == (p + 1) ** n - 1
+    assert all(table[SignedVector(X.entries, p)] == v for v, X in enumerate(vectors))
+    # the same entries at another modulus are another vector
+    assert SignedVector(vectors[0].entries, p + 1) not in table
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (3, 4), (3, 5)])
+def test_signed_order_size_and_members(n, p):
+    from hyperchrom.altdefect import _signed_order
+
+    order = _signed_order(n, p)
+    assert order.size == tuple(len(X.support()) for X in order.vectors)
+    assert order.members == frozenset(signed_vectors(n, p))
 
 
 def test_alt_of_vector_examples():

@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import itertools
 import math
+import random
+from typing import Optional
 
 import pytest
 
@@ -82,6 +84,20 @@ def test_condition1_violation_flagged():
 def test_labeling_must_be_total():
     with pytest.raises(ValueError):
         EquivariantLabeling(2, 2, 2, {})
+
+
+def test_labeling_keys_must_be_the_nonzero_vectors():
+    # 15 keys, as many as (n, p) = (2, 3) has nonzero vectors, but none
+    # of them a vector of (2, 3): the checkers would meet a missing key
+    table = {SignedVector((e,), 15): (1, 1) for e in range(1, 16)}
+    with pytest.raises(ValueError, match="total"):
+        EquivariantLabeling(2, 1, 3, table)
+    # one key swapped for a vector of another modulus
+    table = dict(first_sign_alt(2, 3).table)
+    del table[SignedVector((1, 1), 3)]
+    table[SignedVector((1, 1), 4)] = (1, 2)
+    with pytest.raises(ValueError, match="total"):
+        EquivariantLabeling(2, 2, 3, table)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +232,22 @@ def test_sweep_p3():
     rep = fan_sweep(2, 2, 3, 0)
     assert rep.admissible == 7776
     assert rep.ok and rep.regime_ok
+
+
+@pytest.mark.parametrize("n, m, alpha, leaves", [(2, 1, 0, 243), (2, 2, 0, 7776)])
+def test_sweep_p3_checks_each_leaf_once(monkeypatch, n, m, alpha, leaves):
+    # at p >= 3 every complete labeling goes through the checker once
+    calls = []
+    real = tucker.check_labeling_conditions
+
+    def counted(lab, a):
+        calls.append(lab)
+        return real(lab, a)
+
+    monkeypatch.setattr(tucker, "check_labeling_conditions", counted)
+    rep = fan_sweep(n, m, 3, alpha)
+    assert len(calls) == rep.admissible == leaves
+    assert all(isinstance(lab, EquivariantLabeling) for lab in calls)
 
 
 def test_vacuity_outside_regime():
@@ -620,3 +652,154 @@ def test_unscreened_sweep_p2_matches_reference(monkeypatch, n, m, alpha, chainle
     rep = fan_sweep(n, m, 2, alpha)
     assert len(rep.failures) == chainless
     assert rep == _reference_fan_sweep_p2(n, m, alpha)
+
+
+# ---------------------------------------------------------------------------
+# the former labeling checker and chain search, kept as references for
+# the positional reads and the support-size bound on condition 2
+# ---------------------------------------------------------------------------
+
+
+def _reference_check_labeling_conditions(lab, alpha):
+    """check_labeling_conditions as it was: every label read through
+    ``lab(X)``, and condition 2 searched without a support-size bound."""
+    p = lab.p
+    order = tucker._signed_order(lab.n, p)
+    vectors, sup = order.vectors, order.sup
+    labels = [lab(X) for X in vectors]
+    for v, (eps, j) in enumerate(labels):
+        got = labels[order.rot[v]]
+        if got != (tucker._rot(eps, 1, p), j):
+            return Verdict(
+                False,
+                "counterexample",
+                "equivariance fails",
+                witness=(vectors[v], (eps, j), got),
+            )
+    for x, ys in enumerate(sup):
+        e1, j1 = labels[x]
+        for y in ys:
+            e2, j2 = labels[y]
+            if j1 == j2 <= alpha and e1 != e2:
+                return Verdict(
+                    False,
+                    "counterexample",
+                    "condition 1 fails",
+                    witness=(vectors[x], vectors[y]),
+                )
+    # condition 2: no strict chain of p vectors with one level >= alpha+1
+    # and p pairwise distinct signs
+
+    def grow(chain: list, signs: set) -> Optional[tuple]:
+        if len(chain) == p:
+            return tuple(vectors[v] for v in chain)
+        level = labels[chain[-1]][1]
+        for y in sup[chain[-1]]:
+            eY, jY = labels[y]
+            if jY == level and eY not in signs:
+                hit = grow(chain + [y], signs | {eY})
+                if hit:
+                    return hit
+        return None
+
+    for x, (eX, jX) in enumerate(labels):
+        if jX >= alpha + 1:
+            hit = grow([x], {eX})
+            if hit:
+                return Verdict(
+                    False, "counterexample", "condition 2 fails", witness=hit
+                )
+    return Verdict(True, "pass")
+
+
+def _reference_find_fan_chain(lab, alpha):
+    """find_fan_chain as it was: labels read through ``lab(X)`` and
+    support sizes counted per call."""
+    n, p = lab.n, lab.p
+    k = n - alpha
+    if k <= 0:
+        return FanChain((), ())
+    order = tucker._signed_order(n, p)
+    vectors = order.vectors
+    labels = [lab(X) for X in vectors]
+    size = [len(X.support()) for X in vectors]
+    hi = math.ceil(k / p)
+    lo = k // p
+
+    def rec(chain: list, used: list, counts: list) -> Optional[FanChain]:
+        if len(chain) == k:
+            if all(lo <= c <= hi for c in counts[1:]):
+                return FanChain(tuple(vectors[v] for v in chain), tuple(used))
+            return None
+        pool = order.sup[chain[-1]] if chain else range(len(vectors))
+        need = k - len(chain)
+        for y in pool:
+            labY = labels[y]
+            if size[y] + need - 1 > n or labY[1] < alpha + 1:
+                continue
+            if labY in used or counts[labY[0]] >= hi:
+                continue
+            counts[labY[0]] += 1
+            hit = rec(chain + [y], used + [labY], counts)
+            counts[labY[0]] -= 1
+            if hit:
+                return hit
+        return None
+
+    hit = rec([], [], [0] * (p + 1))
+    if hit:
+        return hit
+    return Verdict(
+        False,
+        "counterexample",
+        f"no Fan chain of length {k} exists for this admissible labeling",
+    )
+
+
+def _random_labelings(rng, n, p):
+    """Equivariant labelings with random rep labels on 1..m levels, each
+    also broken at one random vector, plus the first-sign labeling."""
+    reps = sorted(
+        {signed_orbit_representative(X) for X in signed_vectors(n, p)},
+        key=lambda X: X.entries,
+    )
+    yield first_sign_alt(n, p)
+    for _ in range(12):
+        m = rng.randint(1, n + 1)
+        assignment = {X: (rng.randint(1, p), rng.randint(1, m)) for X in reps}
+        lab = EquivariantLabeling.from_rep_assignment(n, m, p, assignment)
+        yield lab
+        table = dict(lab.table)
+        X = rng.choice(sorted(table, key=lambda X: X.entries))
+        eps, j = table[X]
+        table[X] = (eps % p + 1, j) if rng.random() < 0.5 else (eps, j % m + 1)
+        yield EquivariantLabeling(n, m, p, table)
+
+
+def _outcome(res):
+    if isinstance(res, Verdict):
+        return (res.ok, res.kind, res.detail, res.witness)
+    return res
+
+
+def test_checker_and_chain_search_match_references():
+    rng = random.Random(22)
+    details = collections.Counter()
+    for p in (3, 4, 5):
+        for n in (1, 2, 3):
+            labs = list(_random_labelings(rng, n, p))
+            for alpha in range(n + 2):
+                for lab in labs:
+                    got = check_labeling_conditions(lab, alpha)
+                    want = _reference_check_labeling_conditions(lab, alpha)
+                    assert _outcome(got) == _outcome(want)
+                    details[got.detail] += 1
+                    assert _outcome(find_fan_chain(lab, alpha)) == _outcome(
+                        _reference_find_fan_chain(lab, alpha)
+                    )
+    assert set(details) == {
+        "",
+        "equivariance fails",
+        "condition 1 fails",
+        "condition 2 fails",
+    }
